@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateSeriesError
-from .graphs import PaperGraph
+from .graphs import PaperGraph, year_batches
 
 DEFAULT_DAMPING = 0.85
 DEFAULT_TOL = 1e-10
@@ -29,7 +29,6 @@ class CumulativeGraph:
     """Directed graph unioned over all papers processed so far."""
 
     view: str = "full"
-    through_year: int | None = None
     nodes: set[str] = field(default_factory=set)
     edges: set[tuple[str, str]] = field(default_factory=set)
 
@@ -157,18 +156,14 @@ def score_corpus(graphs: Sequence[PaperGraph], view: str = "full",
                  max_iter: int = DEFAULT_MAX_ITER) -> list[CentralityStats]:
     """Centrality stats for every paper, each scored against the cumulative
     graph of strictly earlier years."""
-    by_year: dict[int, list[PaperGraph]] = {}
-    for graph in graphs:
-        by_year.setdefault(graph.year, []).append(graph)
     cumulative = CumulativeGraph(view=view)
     stats: list[CentralityStats] = []
-    for year in sorted(by_year):
+    for _, batch in year_batches(graphs):
         eigen = eigenvector_centrality(cumulative, tol=tol, max_iter=max_iter)
         ranks = pagerank(cumulative, damping=damping, tol=tol, max_iter=max_iter)
-        for graph in by_year[year]:
+        for graph in batch:
             stats.append(paper_centrality_stats(graph, eigen, ranks))
-        cumulative.add_papers(by_year[year])
-        cumulative.through_year = year
+        cumulative.add_papers(batch)
     return stats
 
 
@@ -200,18 +195,12 @@ def node_centrality_series(graphs: Sequence[PaperGraph], node: str,
     min-max normalized) rows. Raises if the code never appears or if the
     series is constant, since min-max normalization is then degenerate.
     """
-    by_year: dict[int, list[PaperGraph]] = {}
-    for graph in graphs:
-        by_year.setdefault(graph.year, []).append(graph)
-    if not by_year:
-        raise ValueError("empty corpus")
     if not any(node in g.nodes for g in graphs):
         raise ValueError(f"code {node!r} never appears in the corpus")
     cumulative = CumulativeGraph()
     raw: list[tuple[int, float]] = []
-    for year in sorted(by_year):
-        cumulative.add_papers(by_year[year])
-        cumulative.through_year = year
+    for year, batch in year_batches(graphs):
+        cumulative.add_papers(batch)
         eigen = eigenvector_centrality(cumulative, tol=tol, max_iter=max_iter)
         raw.append((year, eigen.get(node, 0.0)))
     lo = min(v for _, v in raw)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
+from dataclasses import fields as dataclass_fields
 
 from . import centrality as centrality_mod
 from . import cooccurrence as cooccur_mod
@@ -20,8 +22,8 @@ from .embedding import (
     match_concept,
     match_concept_all,
 )
-from .errors import ClaimGraphError
-from .graphs import build_graph, complexity_measures
+from .errors import ClaimGraphError, SchemaError
+from .graphs import ComplexityMeasures, build_graph, complexity_measures
 from .ingest import (
     load_outcome_table,
     load_rank_table,
@@ -30,22 +32,22 @@ from .ingest import (
     serialize_corpus,
 )
 from .pipeline import (
-    PipelineConfig,
-    compute_measure_rows,
+    CENTRALITY_COLUMNS,
+    CENTRALITY_STATS,
+    COMPLEXITY_COLUMNS,
+    NOVELTY_MEASURES,
+    REGRESSION_COLUMNS,
+    TREND_COLUMNS,
+    add_zscores,
     parse_config_file,
     run_pipeline,
     run_regressions,
-    MEASURE_COLUMNS,
 )
 from .regression import load_spec_file
-from .tableio import format_cell, parse_float, parse_int, read_csv_dicts
+from .tableio import parse_float, parse_int, read_csv_dicts, write_rows
 from .trends import GROUPINGS, aggregate_trends
 
 CLI_VIEWS = ("full", "causal", "non-causal")
-
-
-def _view_arg(view: str) -> str:
-    return "noncausal" if view == "non-causal" else view
 
 
 @contextlib.contextmanager
@@ -57,20 +59,18 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _write_table(fh, header: list[str], rows) -> None:
-    import csv
-
-    writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(v) for v in row])
-
-
 def _load_corpus(args) -> list:
     records, diagnostics = parse_corpus_file(args.corpus, strict=args.strict)
     for diag in diagnostics:
         print(diag, file=sys.stderr)
     return records
+
+
+def _load_graphs(args) -> tuple[list, str, list]:
+    """The corpus, the --view it is scored in, and one graph per paper."""
+    records = _load_corpus(args)
+    view = "noncausal" if args.view == "non-causal" else args.view
+    return records, view, [build_graph(r, view) for r in records]
 
 
 def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
@@ -92,8 +92,6 @@ def cmd_run(args) -> int:
 def cmd_ingest(args) -> int:
     records = _load_corpus(args)
     if args.outcomes:
-        import os
-
         sources = [load_outcome_table(p, name=os.path.basename(p))
                    for p in args.outcomes.split(",")]
         ranks = load_rank_table(args.ranks) if args.ranks else {}
@@ -106,124 +104,101 @@ def cmd_ingest(args) -> int:
 
 def cmd_measures(args) -> int:
     records = _load_corpus(args)
-    header = ["paper_id", "year", "num_edges", "num_causal_edges",
-              "prop_causal_edges",
-              "num_unique_paths_full", "longest_path_full",
-              "num_unique_paths_causal", "longest_path_causal",
-              "num_unique_paths_noncausal", "longest_path_noncausal",
-              "source_sink_full", "source_sink_causal", "source_sink_noncausal"]
+    # ComplexityMeasures lists its fields in the order of the header.
+    names = [f.name for f in dataclass_fields(ComplexityMeasures)]
     rows = []
     for record in records:
         cm = complexity_measures(record, path_cap=args.path_cap)
-        rows.append([cm.paper_id, cm.year, cm.num_edges, cm.num_causal_edges,
-                     cm.prop_causal_edges,
-                     cm.num_unique_paths, cm.longest_path,
-                     cm.num_unique_paths_causal, cm.longest_path_causal,
-                     cm.num_unique_paths_noncausal, cm.longest_path_noncausal,
-                     cm.source_sink_full, cm.source_sink_causal,
-                     cm.source_sink_noncausal])
+        rows.append([getattr(cm, name) for name in names])
     with _open_out(args.out) as fh:
-        _write_table(fh, header, rows)
+        write_rows(fh, ["paper_id", "year", *COMPLEXITY_COLUMNS], rows)
     return 0
 
 
 def cmd_novelty(args) -> int:
-    records = _load_corpus(args)
-    view = _view_arg(args.view)
-    graphs = [build_graph(r, view) for r in records]
-    ledger = (novelty_mod.load_ledger_file(args.ledger_in)
-              if args.ledger_in else None)
-    if ledger is None:
-        scores, ledger = novelty_mod.score_corpus(
-            graphs, path_len=args.path_len, subgraph_size=args.subgraph_size)
-    else:
-        scores, ledger = novelty_mod.score_corpus(graphs, ledger=ledger)
+    records, _, graphs = _load_graphs(args)
+    ledger = (novelty_mod.load_ledger_file(args.ledger_in) if args.ledger_in
+              else novelty_mod.LedgerState())
+    # A flag left out takes the ledger's value; a flag given must match it.
+    for key in ("path_len", "subgraph_size"):
+        given = getattr(args, key)
+        if given is None:
+            continue
+        if args.ledger_in and given != getattr(ledger, key):
+            raise SchemaError(
+                f"--{key.replace('_', '-')} {given} does not match "
+                f"{key}={getattr(ledger, key)} in {args.ledger_in}")
+        setattr(ledger, key, given)
+    scores, ledger = novelty_mod.score_corpus(graphs, ledger=ledger)
     if args.ledger_out:
         novelty_mod.save_ledger_file(ledger, args.ledger_out)
-    header = ["paper_id", "year", "num_novel_edges", "prop_novel_edges",
-              "num_novel_paths", "prop_novel_paths",
-              "num_novel_subgraphs", "prop_novel_subgraphs"]
-    rows = []
-    for record in records:
-        m = scores[record.paper_id]
-        rows.append([m.paper_id, m.year, m.num_novel_edges, m.prop_novel_edges,
-                     m.num_novel_paths, m.prop_novel_paths,
-                     m.num_novel_subgraphs, m.prop_novel_subgraphs])
+    header = ["paper_id", "year", *NOVELTY_MEASURES]
+    rows = ([getattr(scores[r.paper_id], col) for col in header] for r in records)
     with _open_out(args.out) as fh:
-        _write_table(fh, header, rows)
+        write_rows(fh, header, rows)
     return 0
 
 
 def cmd_gaps(args) -> int:
-    records = _load_corpus(args)
-    view = _view_arg(args.view)
-    graphs = [build_graph(r, view) for r in records]
+    records, _, graphs = _load_graphs(args)
     table = (cooccur_mod.load_pair_table_file(args.table_in)
              if args.table_in else None)
     scores, table = cooccur_mod.score_corpus(graphs, tau=args.tau, table=table)
     if args.table_out:
         cooccur_mod.save_pair_table_file(table, args.table_out)
-    rows = [[r.paper_id, r.year, scores[r.paper_id]] for r in records]
+    rows = ([r.paper_id, r.year, scores[r.paper_id]] for r in records)
     with _open_out(args.out) as fh:
-        _write_table(fh, ["paper_id", "year", "gap_prop"], rows)
+        write_rows(fh, ["paper_id", "year", "gap_prop"], rows)
     return 0
 
 
 def cmd_centrality(args) -> int:
-    records = _load_corpus(args)
-    view = _view_arg(args.view)
-    graphs = [build_graph(r, view) for r in records]
+    records, view, graphs = _load_graphs(args)
     stats = centrality_mod.score_corpus(graphs, view=view, damping=args.damping)
     by_id = {s.paper_id: s for s in stats}
-    raw_rows = [by_id[r.paper_id] for r in records]
-    z_cols = {
-        stat: centrality_mod.standardize([getattr(s, stat) for s in raw_rows])
-        for stat in ("mean_eigen", "var_eigen", "mean_pagerank", "var_pagerank")
-    }
-    header = ["paper_id", "year", "view", "mean_eigen", "var_eigen",
-              "mean_pagerank", "var_pagerank", "z_mean_eigen", "z_var_eigen",
-              "z_mean_pagerank", "z_var_pagerank"]
-    rows = []
-    for idx, s in enumerate(raw_rows):
-        rows.append([s.paper_id, s.year, args.view, s.mean_eigen, s.var_eigen,
-                     s.mean_pagerank, s.var_pagerank,
-                     z_cols["mean_eigen"][idx], z_cols["var_eigen"][idx],
-                     z_cols["mean_pagerank"][idx], z_cols["var_pagerank"][idx]])
+    rows = [{"paper_id": r.paper_id, "year": r.year, "view": args.view,
+             **{stat: getattr(by_id[r.paper_id], stat) for stat in CENTRALITY_STATS}}
+            for r in records]
+    add_zscores(rows, CENTRALITY_STATS)
     with _open_out(args.out) as fh:
-        _write_table(fh, header, rows)
+        write_rows(fh, CENTRALITY_COLUMNS,
+                   ([row[col] for col in CENTRALITY_COLUMNS] for row in rows))
     return 0
 
 
 def cmd_node_series(args) -> int:
-    records = _load_corpus(args)
-    view = _view_arg(args.view)
-    graphs = [build_graph(r, view) for r in records]
-    series = centrality_mod.node_centrality_series(graphs, args.code)
+    _, _, graphs = _load_graphs(args)
+    try:
+        series = centrality_mod.node_centrality_series(graphs, args.code)
+    except ValueError as exc:  # a code the corpus never uses
+        raise SchemaError(str(exc)) from None
     with _open_out(args.out) as fh:
-        _write_table(fh, ["year", "eigen_centrality", "eigen_centrality_minmax"],
-                     series)
+        write_rows(fh, ["year", "eigen_centrality", "eigen_centrality_minmax"],
+                   series)
     return 0
 
 
 def cmd_regress(args) -> int:
-    raw = read_csv_dicts(args.measures)
     rows: list[dict] = []
-    for entry in raw:
+    for entry in read_csv_dicts(args.measures):
         row: dict = {"paper_id": entry.get("paper_id", ""),
-                     "year": parse_int(entry.get("year", "")),
                      "pub_tier": entry.get("pub_tier") or None,
-                     "citations": parse_int(entry.get("citations", ""))}
-        for key, value in entry.items():
-            if key not in row:
-                row[key] = parse_float(value)
+                     "outcome_source": entry.get("outcome_source") or None}
+        try:
+            row["year"] = parse_int(entry.get("year", ""))
+            row["citations"] = parse_int(entry.get("citations", ""))
+            for key, value in entry.items():
+                if key not in row:
+                    row[key] = parse_float(value)
+        except ValueError as exc:
+            raise SchemaError(
+                f"{args.measures}: paper {row['paper_id']!r}: {exc}") from None
         rows.append(row)
     specs = load_spec_file(args.specs)
     results = run_regressions(rows, specs, keep_errors=False)
-    header = ["outcome", "measure", "view", "fe", "cluster", "alpha", "beta",
-              "se_beta", "n", "r_squared"]
+    header = REGRESSION_COLUMNS[:-1]  # no error column: errors abort
     with _open_out(args.out) as fh:
-        _write_table(fh, header,
-                     [[r[c] for c in header] for r in results])
+        write_rows(fh, header, ([r[c] for c in header] for r in results))
     return 0
 
 
@@ -231,8 +206,8 @@ def cmd_trends(args) -> int:
     records = _load_corpus(args)
     rows = aggregate_trends(records, group_by=args.group_by)
     with _open_out(args.out) as fh:
-        _write_table(fh, ["group", "metric", "value", "n", "ci95"],
-                     [(t.group, t.metric, t.value, t.n, t.ci95) for t in rows])
+        write_rows(fh, TREND_COLUMNS,
+                   ([getattr(t, c) for c in TREND_COLUMNS] for t in rows))
     return 0
 
 
@@ -258,7 +233,7 @@ def cmd_match(args) -> int:
             m = match_concept(vec, index, query_id)
             rows.append([m.query_id, m.code, m.score, 1])
     with _open_out(args.out) as fh:
-        _write_table(fh, ["query_id", "code", "similarity", "rank"], rows)
+        write_rows(fh, ["query_id", "code", "similarity", "rank"], rows)
     return 0
 
 
@@ -290,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("novelty", help="novelty against the year frontier")
     _add_corpus_args(p)
     p.add_argument("--view", default="full", choices=["full", "causal"])
-    p.add_argument("--path-len", type=int, default=novelty_mod.DEFAULT_PATH_LEN)
-    p.add_argument("--subgraph-size", type=int,
-                   default=novelty_mod.DEFAULT_SUBGRAPH_SIZE)
+    p.add_argument("--path-len", type=int, help="default: the ledger's, "
+                   f"else {novelty_mod.DEFAULT_PATH_LEN}")
+    p.add_argument("--subgraph-size", type=int, help="default: the ledger's, "
+                   f"else {novelty_mod.DEFAULT_SUBGRAPH_SIZE}")
     p.add_argument("--ledger-in", default="", help="resume from a saved ledger")
     p.add_argument("--ledger-out", default="", help="save the final ledger")
     p.set_defaults(func=cmd_novelty)

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence, TextIO
 
-from .errors import YearOrderError
-from .graphs import PaperGraph
+from .errors import SchemaError
+from .graphs import PaperGraph, batch_year, year_batches
+from .tableio import replace_on_success
 
 DEFAULT_TAU = 5
 
@@ -44,13 +45,7 @@ def update_pair_counts(table: PairCountTable,
     """
     if not papers:
         return table
-    years = {g.year for g in papers}
-    if len(years) > 1:
-        raise YearOrderError(f"update_pair_counts got mixed years {sorted(years)}")
-    year = years.pop()
-    if table.through_year is not None and year <= table.through_year:
-        raise YearOrderError(
-            f"year {year} not after table horizon {table.through_year}")
+    year = batch_year(papers, table.through_year, "pair table")
     for graph in papers:
         for a, b in combinations(sorted(graph.nodes), 2):
             key = (a, b)
@@ -80,14 +75,11 @@ def score_corpus(graphs: Sequence[PaperGraph], tau: int = DEFAULT_TAU,
     """Gap scores for one view's graphs, processed in year order."""
     if table is None:
         table = PairCountTable()
-    by_year: dict[int, list[PaperGraph]] = {}
-    for graph in graphs:
-        by_year.setdefault(graph.year, []).append(graph)
     out: dict[str, float | None] = {}
-    for year in sorted(by_year):
-        for graph in by_year[year]:
+    for _, batch in year_batches(graphs):
+        for graph in batch:
             out[graph.paper_id] = gap_filling_prop(graph, table, tau)
-        update_pair_counts(table, by_year[year])
+        update_pair_counts(table, batch)
     return out, table
 
 
@@ -100,7 +92,7 @@ def save_pair_table(table: PairCountTable, fh: TextIO) -> None:
 
 
 def save_pair_table_file(table: PairCountTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         save_pair_table(table, fh)
 
 
@@ -126,4 +118,7 @@ def load_pair_table(fh: TextIO) -> PairCountTable:
 
 def load_pair_table_file(path: str) -> PairCountTable:
     with open(path, encoding="utf-8") as fh:
-        return load_pair_table(fh)
+        try:
+            return load_pair_table(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: {exc}") from None

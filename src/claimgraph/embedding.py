@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import urllib.request
 from dataclasses import dataclass
-
-import requests
 
 from .errors import SchemaError
 
@@ -141,7 +140,8 @@ def fetch_remote_embeddings(texts: list[str], url: str | None = None,
     """POST texts to the configured provider and return one vector per text.
 
     The endpoint receives {"texts": [...]} and must answer
-    {"vectors": [[...], ...]} with matching length.
+    {"vectors": [[...], ...]} with matching length. HTTP and connection
+    failures raise OSError subclasses (urllib.error.URLError).
     """
     url = url or os.environ.get(ENV_REMOTE_URL)
     if not url:
@@ -150,16 +150,24 @@ def fetch_remote_embeddings(texts: list[str], url: str | None = None,
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    response = requests.post(url, data=json.dumps({"texts": texts}),
-                             headers=headers, timeout=timeout)
-    response.raise_for_status()
-    payload = response.json()
-    vectors = payload.get("vectors")
+    request = urllib.request.Request(
+        url, data=json.dumps({"texts": texts}).encode("utf-8"),
+        headers=headers, method="POST")
+    with urllib.request.urlopen(request, timeout=timeout) as response:
+        body = response.read()
+    try:
+        payload = json.loads(body)
+    except ValueError as exc:
+        raise SchemaError(f"remote provider returned invalid JSON: {exc}") from None
+    vectors = payload.get("vectors") if isinstance(payload, dict) else None
     if not isinstance(vectors, list) or len(vectors) != len(texts):
         raise SchemaError("remote provider returned a malformed response")
     out: list[list[float]] = []
     for vec in vectors:
         if not isinstance(vec, list):
             raise SchemaError("remote provider vector is not a list")
-        out.append([float(v) for v in vec])
+        try:
+            out.append([float(v) for v in vec])
+        except (TypeError, ValueError):
+            raise SchemaError("remote provider vector is not numeric") from None
     return out

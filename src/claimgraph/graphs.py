@@ -13,9 +13,9 @@ views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import PathBudgetExceeded
+from .errors import PathBudgetExceeded, YearOrderError
 from .model import PaperRecord
 
 VIEWS = ("full", "causal", "noncausal")
@@ -73,6 +73,28 @@ def build_graph(record: PaperRecord, view: str = "full") -> PaperGraph:
     return graph
 
 
+def year_batches(graphs: Iterable[PaperGraph]) -> list[tuple[int, list[PaperGraph]]]:
+    """(year, graphs) batches in ascending year order; input order is kept
+    within a year."""
+    by_year: dict[int, list[PaperGraph]] = {}
+    for graph in graphs:
+        by_year.setdefault(graph.year, []).append(graph)
+    return sorted(by_year.items())
+
+
+def batch_year(papers: Sequence[PaperGraph], after: int | None, state: str) -> int:
+    """The one year a batch shares. It must be strictly after `after`, the
+    last year `state` absorbed, or the state would no longer stand for
+    strictly earlier work."""
+    years = {g.year for g in papers}
+    if len(years) > 1:
+        raise YearOrderError(f"{state} got a batch of mixed years {sorted(years)}")
+    year = years.pop()
+    if after is not None and year <= after:
+        raise YearOrderError(f"year {year} not after {state} year {after}")
+    return year
+
+
 def iter_simple_paths(graph: PaperGraph, max_len: int | None = None,
                       cap: int | None = None) -> Iterator[tuple[str, ...]]:
     """Yield every simple directed path (>= 1 edge) as a node tuple.
@@ -117,6 +139,13 @@ def source_sink_ratio(graph: PaperGraph, epsilon: float = 1e-9) -> float:
     return len(graph.sources()) / (len(graph.sinks()) + epsilon)
 
 
+def path_measures(graph: PaperGraph, path_cap: int,
+                  epsilon: float) -> tuple[int, int, float]:
+    """(number of simple paths, longest path in edges, source/sink ratio)."""
+    n_paths, longest = count_paths(graph, cap=path_cap)
+    return n_paths, longest, source_sink_ratio(graph, epsilon)
+
+
 @dataclass(frozen=True)
 class ComplexityMeasures:
     paper_id: str
@@ -144,31 +173,17 @@ def complexity_measures(record: PaperRecord, path_cap: int = DEFAULT_PATH_CAP,
     """
     num_edges = len(record.edges)
     num_causal = sum(1 for e in record.edges if e.is_causal)
-    if num_edges == 0:
-        return ComplexityMeasures(
-            paper_id=record.paper_id, year=record.year,
-            num_edges=0, num_causal_edges=0, prop_causal_edges=None,
-            num_unique_paths=None, longest_path=None,
-            num_unique_paths_causal=None, longest_path_causal=None,
-            num_unique_paths_noncausal=None, longest_path_noncausal=None,
-            source_sink_full=None, source_sink_causal=None,
-            source_sink_noncausal=None,
-        )
-    per_view: dict[str, tuple[int, int, float]] = {}
-    for view in VIEWS:
-        graph = build_graph(record, view)
-        n_paths, longest = count_paths(graph, cap=path_cap)
-        per_view[view] = (n_paths, longest, source_sink_ratio(graph, epsilon))
+    full, causal, noncausal = (
+        path_measures(build_graph(record, view), path_cap, epsilon)
+        if num_edges else (None, None, None) for view in VIEWS)
     return ComplexityMeasures(
         paper_id=record.paper_id, year=record.year,
         num_edges=num_edges, num_causal_edges=num_causal,
-        prop_causal_edges=num_causal / num_edges,
-        num_unique_paths=per_view["full"][0], longest_path=per_view["full"][1],
-        num_unique_paths_causal=per_view["causal"][0],
-        longest_path_causal=per_view["causal"][1],
-        num_unique_paths_noncausal=per_view["noncausal"][0],
-        longest_path_noncausal=per_view["noncausal"][1],
-        source_sink_full=per_view["full"][2],
-        source_sink_causal=per_view["causal"][2],
-        source_sink_noncausal=per_view["noncausal"][2],
+        prop_causal_edges=num_causal / num_edges if num_edges else None,
+        num_unique_paths=full[0], longest_path=full[1],
+        num_unique_paths_causal=causal[0], longest_path_causal=causal[1],
+        num_unique_paths_noncausal=noncausal[0],
+        longest_path_noncausal=noncausal[1],
+        source_sink_full=full[2], source_sink_causal=causal[2],
+        source_sink_noncausal=noncausal[2],
     )

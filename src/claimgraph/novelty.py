@@ -15,8 +15,9 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Sequence, TextIO
 
-from .errors import SubsetBudgetExceeded, YearOrderError
-from .graphs import PaperGraph, iter_simple_paths
+from .errors import SchemaError, SubsetBudgetExceeded
+from .graphs import PaperGraph, batch_year, iter_simple_paths, year_batches
+from .tableio import replace_on_success
 
 DEFAULT_PATH_LEN = 3
 DEFAULT_SUBGRAPH_SIZE = 3
@@ -134,13 +135,7 @@ def advance_year(ledger: LedgerState,
     measures: list[NoveltyMeasures] = []
     if not papers:
         return measures
-    years = {g.year for g in papers}
-    if len(years) > 1:
-        raise YearOrderError(f"advance_year got mixed years {sorted(years)}")
-    year = years.pop()
-    if ledger.current_year is not None and year <= ledger.current_year:
-        raise YearOrderError(
-            f"year {year} not after ledger year {ledger.current_year}")
+    year = batch_year(papers, ledger.current_year, "ledger")
     batch: list[tuple[set[str], set[str], list[str]]] = []
     for graph in papers:
         edges, paths, signatures = _paper_structures(graph, ledger)
@@ -175,12 +170,9 @@ def score_corpus(graphs: Sequence[PaperGraph], path_len: int = DEFAULT_PATH_LEN,
     if ledger is None:
         ledger = LedgerState(path_len=path_len, subgraph_size=subgraph_size,
                              subset_cap=subset_cap)
-    by_year: dict[int, list[PaperGraph]] = {}
-    for graph in graphs:
-        by_year.setdefault(graph.year, []).append(graph)
     out: dict[str, NoveltyMeasures] = {}
-    for year in sorted(by_year):
-        for m in advance_year(ledger, by_year[year]):
+    for _, batch in year_batches(graphs):
+        for m in advance_year(ledger, batch):
             out[m.paper_id] = m
     return out, ledger
 
@@ -200,7 +192,7 @@ def save_ledger(ledger: LedgerState, fh: TextIO) -> None:
 
 
 def save_ledger_file(ledger: LedgerState, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         save_ledger(ledger, fh)
 
 
@@ -237,4 +229,7 @@ def load_ledger(fh: TextIO) -> LedgerState:
 
 def load_ledger_file(path: str) -> LedgerState:
     with open(path, encoding="utf-8") as fh:
-        return load_ledger(fh)
+        try:
+            return load_ledger(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: {exc}") from None

@@ -17,7 +17,7 @@ from . import centrality as centrality_mod
 from . import cooccurrence as cooccur_mod
 from . import novelty as novelty_mod
 from .errors import ClaimGraphError, CollinearityError, SchemaError
-from .graphs import DEFAULT_PATH_CAP, build_graph, complexity_measures
+from .graphs import DEFAULT_PATH_CAP, VIEWS, build_graph, path_measures
 from .ingest import (
     DEFAULT_MAX_YEAR,
     DEFAULT_MIN_YEAR,
@@ -36,9 +36,33 @@ __version__ = "0.1.0"
 
 NOVELTY_VIEWS = ("full", "causal")
 GAP_VIEWS = ("full", "causal")
-CENTRALITY_VIEWS = ("full", "causal", "noncausal")
+CENTRALITY_VIEWS = VIEWS
 
+# Column registry for `run` and the subcommands. Per-view columns are named
+# <measure>_<view>; NOVELTY_MEASURES and CENTRALITY_STATS are also the field
+# names of NoveltyMeasures and CentralityStats.
+PATH_MEASURES = ("num_unique_paths", "longest_path", "source_sink")
+NOVELTY_MEASURES = ("num_novel_edges", "prop_novel_edges",
+                    "num_novel_paths", "prop_novel_paths",
+                    "num_novel_subgraphs", "prop_novel_subgraphs")
 CENTRALITY_STATS = ("mean_eigen", "var_eigen", "mean_pagerank", "var_pagerank")
+Z_STATS = tuple(f"z_{stat}" for stat in CENTRALITY_STATS)
+
+
+def _per_view(measures, views) -> list[str]:
+    return [f"{measure}_{view}" for view in views for measure in measures]
+
+
+# Path counts and lengths of every view come before the source/sink ratios.
+COMPLEXITY_COLUMNS: list[str] = (
+    ["num_edges", "num_causal_edges", "prop_causal_edges"]
+    + _per_view(PATH_MEASURES[:2], VIEWS) + _per_view(PATH_MEASURES[2:], VIEWS))
+CENTRALITY_COLUMNS: list[str] = ["paper_id", "year", "view",
+                                 *CENTRALITY_STATS, *Z_STATS]
+REGRESSION_COLUMNS: list[str] = ["outcome", "measure", "view", "fe", "cluster",
+                                 "alpha", "beta", "se_beta", "n", "r_squared",
+                                 "error"]
+TREND_COLUMNS: list[str] = ["group", "metric", "value", "n", "ci95"]
 
 DEFAULT_BATTERY_MEASURES = (
     "prop_causal_edges",
@@ -83,17 +107,16 @@ class PipelineConfig:
     subset_cap: int = novelty_mod.DEFAULT_SUBSET_CAP
 
 
-_BOOL_KEYS = {"strict"}
-_INT_KEYS = {"min_year", "max_year", "path_len", "subgraph_size", "tau",
-             "max_iter", "path_cap", "subset_cap"}
-_FLOAT_KEYS = {"epsilon", "damping", "tol"}
-_PATH_KEYS = {"corpus", "ranks", "specs"}
+_INPUT_KEYS = ("corpus", "outcomes", "ranks", "specs")
+# Every other key is a parameter, parsed by its field's annotated type.
+_PARSERS = {"bool": lambda v: v.lower() in ("1", "true", "yes"),
+            "int": int, "float": float, "str": str}
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
     """Parse a plain key=value config; '#' starts a comment. Relative paths
     resolve against the config file's directory."""
-    known = {f.name for f in dataclass_fields(PipelineConfig)}
+    types = {f.name: f.type for f in dataclass_fields(PipelineConfig)}
     config = PipelineConfig()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -102,21 +125,19 @@ def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
         key, sep, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if not sep or key not in known:
+        if not sep or key not in types:
             raise SchemaError(f"bad config line {raw!r}", line_no=line_no)
         if key == "outcomes":
             config.outcomes = [os.path.join(base_dir, p.strip())
                                for p in value.split(",") if p.strip()]
-        elif key in _PATH_KEYS:
+        elif key in _INPUT_KEYS:
             setattr(config, key, os.path.join(base_dir, value) if value else "")
-        elif key in _BOOL_KEYS:
-            setattr(config, key, value.lower() in ("1", "true", "yes"))
-        elif key in _INT_KEYS:
-            setattr(config, key, int(value))
-        elif key in _FLOAT_KEYS:
-            setattr(config, key, float(value))
         else:
-            setattr(config, key, value)
+            try:
+                setattr(config, key, _PARSERS[types[key]](value))
+            except ValueError:
+                raise SchemaError(f"{key} must be {types[key]}, got {value!r}",
+                                  line_no=line_no) from None
     if not config.corpus:
         raise SchemaError("config is missing corpus=")
     return config
@@ -128,92 +149,84 @@ def parse_config_file(path: str) -> PipelineConfig:
 
 
 MEASURE_COLUMNS: list[str] = (
-    ["paper_id", "year", "pub_tier", "citations", "outcome_source",
-     "num_edges", "num_causal_edges", "prop_causal_edges",
-     "num_unique_paths_full", "longest_path_full",
-     "num_unique_paths_causal", "longest_path_causal",
-     "num_unique_paths_noncausal", "longest_path_noncausal",
-     "source_sink_full", "source_sink_causal", "source_sink_noncausal"]
-    + [f"{base}_{view}" for view in NOVELTY_VIEWS
-       for base in ("num_novel_edges", "prop_novel_edges",
-                    "num_novel_paths", "prop_novel_paths",
-                    "num_novel_subgraphs", "prop_novel_subgraphs")]
-    + [f"gap_prop_{view}" for view in GAP_VIEWS]
-    + [f"{stat}_{view}" for view in CENTRALITY_VIEWS for stat in CENTRALITY_STATS]
-    + [f"z_{stat}_{view}" for view in CENTRALITY_VIEWS for stat in CENTRALITY_STATS]
+    ["paper_id", "year", "pub_tier", "citations", "outcome_source"]
+    + COMPLEXITY_COLUMNS
+    + _per_view(NOVELTY_MEASURES, NOVELTY_VIEWS)
+    + _per_view(("gap_prop",), GAP_VIEWS)
+    + _per_view(CENTRALITY_STATS, CENTRALITY_VIEWS)
+    + _per_view(Z_STATS, CENTRALITY_VIEWS)
 )
+
+
+def _record_row(record: PaperRecord) -> dict:
+    num_edges = len(record.edges)
+    num_causal = sum(1 for e in record.edges if e.is_causal)
+    return {
+        "paper_id": record.paper_id,
+        "year": record.year,
+        "pub_tier": record.pub_tier,
+        "citations": record.citations,
+        "outcome_source": record.outcome_source or None,
+        "num_edges": num_edges,
+        "num_causal_edges": num_causal,
+        "prop_causal_edges": num_causal / num_edges if num_edges else None,
+    }
+
+
+def _fill(by_id: dict[str, dict], results, measures, view: str) -> None:
+    """Copy each result's `measures` attributes into its paper's row."""
+    pairs = list(zip(_per_view(measures, (view,)), measures))
+    for result in results:
+        row = by_id[result.paper_id]
+        for col, name in pairs:
+            row[col] = getattr(result, name)
+
+
+def _score_view(records: list[PaperRecord], rows: list[dict],
+                by_id: dict[str, dict], view: str, config: PipelineConfig) -> None:
+    """Fill one view's columns from one graph per record. The graphs die
+    with this call, so only one view's graphs are alive at a time."""
+    graphs = [build_graph(r, view) for r in records]
+    path_cols = _per_view(PATH_MEASURES, (view,))
+    for row, graph in zip(rows, graphs):
+        # Zero-edge papers get missing path measures in every view.
+        values = (path_measures(graph, config.path_cap, config.epsilon)
+                  if row["num_edges"] else (None, None, None))
+        row.update(zip(path_cols, values))
+    if view in NOVELTY_VIEWS:
+        scores, _ = novelty_mod.score_corpus(
+            graphs, path_len=config.path_len,
+            subgraph_size=config.subgraph_size, subset_cap=config.subset_cap)
+        _fill(by_id, scores.values(), NOVELTY_MEASURES, view)
+    if view in GAP_VIEWS:
+        gaps, _ = cooccur_mod.score_corpus(graphs, tau=config.tau)
+        col = f"gap_prop_{view}"
+        for paper_id, value in gaps.items():
+            by_id[paper_id][col] = value
+    stats = centrality_mod.score_corpus(
+        graphs, view=view, damping=config.damping,
+        tol=config.tol, max_iter=config.max_iter)
+    _fill(by_id, stats, CENTRALITY_STATS, view)
+
+
+def add_zscores(rows: list[dict], columns) -> None:
+    """Add z_<column> to every row: the column standardized over all rows."""
+    for col in columns:
+        z_col = f"z_{col}"
+        z_vals = centrality_mod.standardize([row[col] for row in rows])
+        for row, z in zip(rows, z_vals):
+            row[z_col] = z
 
 
 def compute_measure_rows(records: list[PaperRecord],
                          config: PipelineConfig) -> list[dict]:
-    """One wide dict per record, in input order, None marking missing."""
-    rows: list[dict] = []
-    for record in records:
-        cm = complexity_measures(record, path_cap=config.path_cap,
-                                 epsilon=config.epsilon)
-        rows.append({
-            "paper_id": record.paper_id,
-            "year": record.year,
-            "pub_tier": record.pub_tier,
-            "citations": record.citations,
-            "outcome_source": record.outcome_source or None,
-            "num_edges": cm.num_edges,
-            "num_causal_edges": cm.num_causal_edges,
-            "prop_causal_edges": cm.prop_causal_edges,
-            "num_unique_paths_full": cm.num_unique_paths,
-            "longest_path_full": cm.longest_path,
-            "num_unique_paths_causal": cm.num_unique_paths_causal,
-            "longest_path_causal": cm.longest_path_causal,
-            "num_unique_paths_noncausal": cm.num_unique_paths_noncausal,
-            "longest_path_noncausal": cm.longest_path_noncausal,
-            "source_sink_full": cm.source_sink_full,
-            "source_sink_causal": cm.source_sink_causal,
-            "source_sink_noncausal": cm.source_sink_noncausal,
-        })
+    """One wide dict per record, in input order, None marking missing. Every
+    MEASURE_COLUMNS key is set: each view's pass scores every record."""
+    rows = [_record_row(record) for record in records]
     by_id = {row["paper_id"]: row for row in rows}
-
-    for view in NOVELTY_VIEWS:
-        graphs = [build_graph(r, view) for r in records]
-        scores, _ = novelty_mod.score_corpus(
-            graphs, path_len=config.path_len,
-            subgraph_size=config.subgraph_size, subset_cap=config.subset_cap)
-        for paper_id, nm in scores.items():
-            row = by_id[paper_id]
-            row[f"num_novel_edges_{view}"] = nm.num_novel_edges
-            row[f"prop_novel_edges_{view}"] = nm.prop_novel_edges
-            row[f"num_novel_paths_{view}"] = nm.num_novel_paths
-            row[f"prop_novel_paths_{view}"] = nm.prop_novel_paths
-            row[f"num_novel_subgraphs_{view}"] = nm.num_novel_subgraphs
-            row[f"prop_novel_subgraphs_{view}"] = nm.prop_novel_subgraphs
-
-    for view in GAP_VIEWS:
-        graphs = [build_graph(r, view) for r in records]
-        scores, _ = cooccur_mod.score_corpus(graphs, tau=config.tau)
-        for paper_id, value in scores.items():
-            by_id[paper_id][f"gap_prop_{view}"] = value
-
-    for view in CENTRALITY_VIEWS:
-        graphs = [build_graph(r, view) for r in records]
-        stats = centrality_mod.score_corpus(
-            graphs, view=view, damping=config.damping,
-            tol=config.tol, max_iter=config.max_iter)
-        for st in stats:
-            row = by_id[st.paper_id]
-            row[f"mean_eigen_{view}"] = st.mean_eigen
-            row[f"var_eigen_{view}"] = st.var_eigen
-            row[f"mean_pagerank_{view}"] = st.mean_pagerank
-            row[f"var_pagerank_{view}"] = st.var_pagerank
-
-    for view in CENTRALITY_VIEWS:
-        for stat in CENTRALITY_STATS:
-            col = f"{stat}_{view}"
-            z_vals = centrality_mod.standardize([row.get(col) for row in rows])
-            for row, z in zip(rows, z_vals):
-                row[f"z_{col}"] = z
-
-    for row in rows:
-        for col in MEASURE_COLUMNS:
-            row.setdefault(col, None)
+    for view in VIEWS:
+        _score_view(records, rows, by_id, view, config)
+    add_zscores(rows, _per_view(CENTRALITY_STATS, CENTRALITY_VIEWS))
     return rows
 
 
@@ -272,10 +285,9 @@ def write_manifest(path: str, config: PipelineConfig, n_records: int,
         inputs.append(("specs", config.specs))
     for label, p in inputs:
         lines.append(f"input {label}={os.path.basename(p)} sha256={_sha256(p)}")
-    for key in ("default_tier", "strict", "min_year", "max_year", "path_len",
-                "subgraph_size", "tau", "epsilon", "damping", "tol",
-                "max_iter", "path_cap", "subset_cap"):
-        lines.append(f"param {key}={getattr(config, key)}")
+    for f in dataclass_fields(config):
+        if f.name not in _INPUT_KEYS:
+            lines.append(f"param {f.name}={getattr(config, f.name)}")
     lines.append(f"records={n_records}")
     lines.append(f"diagnostics={n_diagnostics}")
     lines.append(f"selfloop_claims_dropped={selfloops_dropped}")
@@ -319,30 +331,18 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineRun:
         os.path.join(out_dir, "measures.csv"), MEASURE_COLUMNS, rows,
         comment="one row per paper; empty fields are missing values")
 
-    novelty_cols = (["paper_id", "year"]
-                    + [f"{base}_{view}" for view in NOVELTY_VIEWS
-                       for base in ("num_novel_edges", "prop_novel_edges",
-                                    "num_novel_paths", "prop_novel_paths",
-                                    "num_novel_subgraphs", "prop_novel_subgraphs")])
-    write_csv_dicts(os.path.join(out_dir, "novelty.csv"), novelty_cols, rows)
+    write_csv_dicts(os.path.join(out_dir, "novelty.csv"),
+                    ["paper_id", "year", *_per_view(NOVELTY_MEASURES, NOVELTY_VIEWS)],
+                    rows)
 
     gap_cols = ["paper_id", "year"] + [f"gap_prop_{v}" for v in GAP_VIEWS]
     write_csv_dicts(os.path.join(out_dir, "gaps.csv"), gap_cols, rows)
 
-    centrality_rows = []
-    for row in rows:
-        for view in CENTRALITY_VIEWS:
-            centrality_rows.append({
-                "paper_id": row["paper_id"], "year": row["year"], "view": view,
-                **{stat: row.get(f"{stat}_{view}") for stat in CENTRALITY_STATS},
-                **{f"z_{stat}": row.get(f"z_{stat}_{view}")
-                   for stat in CENTRALITY_STATS},
-            })
-    write_csv_dicts(
-        os.path.join(out_dir, "centrality.csv"),
-        ["paper_id", "year", "view", *CENTRALITY_STATS,
-         *[f"z_{s}" for s in CENTRALITY_STATS]],
-        centrality_rows)
+    view_cols = [(view, _per_view(CENTRALITY_STATS + Z_STATS, (view,)))
+                 for view in CENTRALITY_VIEWS]
+    write_csv(os.path.join(out_dir, "centrality.csv"), CENTRALITY_COLUMNS,
+              ([row["paper_id"], row["year"], view, *(row[c] for c in cols)]
+               for row in rows for view, cols in view_cols))
 
     try:
         if config.specs:
@@ -352,24 +352,19 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineRun:
             reg_rows = run_regressions(rows, default_battery(), keep_errors=True)
     except ClaimGraphError as exc:
         raise PipelineStageError("regress", exc) from exc
-    write_csv_dicts(
-        os.path.join(out_dir, "regressions.csv"),
-        ["outcome", "measure", "view", "fe", "cluster", "alpha", "beta",
-         "se_beta", "n", "r_squared", "error"],
-        reg_rows)
+    write_csv_dicts(os.path.join(out_dir, "regressions.csv"),
+                    REGRESSION_COLUMNS, reg_rows)
 
     trend_rows = aggregate_trends(records, group_by="year")
-    write_csv(
-        os.path.join(out_dir, "trends_year.csv"),
-        ["group", "metric", "value", "n", "ci95"],
-        [(t.group, t.metric, t.value, t.n, t.ci95) for t in trend_rows])
+    write_csv(os.path.join(out_dir, "trends_year.csv"), TREND_COLUMNS,
+              ([getattr(t, c) for c in TREND_COLUMNS] for t in trend_rows))
 
     with open(os.path.join(out_dir, "diagnostics.txt"), "w",
               encoding="utf-8") as fh:
         for diag in diagnostics:
             fh.write(f"{diag}\n")
 
-    selfloops = sum(build_graph(r, "full").n_selfloop_claims for r in records)
+    selfloops = sum(1 for r in records for e in r.edges if e.source == e.sink)
     write_manifest(os.path.join(out_dir, "manifest.txt"), config,
                    n_records=len(records), n_diagnostics=len(diagnostics),
                    selfloops_dropped=selfloops)

@@ -7,9 +7,11 @@ formatting so reruns are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
-from typing import Iterable, Sequence
+import os
+from typing import Iterable, Iterator, Sequence, TextIO
 
 
 def format_cell(value) -> str:
@@ -22,15 +24,19 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def write_rows(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_cell(v) for v in row])
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
               comment: str | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+        write_rows(fh, header, rows)
 
 
 def write_csv_dicts(path: str, header: Sequence[str], rows: Iterable[dict],
@@ -62,3 +68,18 @@ def parse_float(cell: str) -> float | None:
 
 def parse_int(cell: str) -> int | None:
     return None if cell == "" else int(cell)
+
+
+@contextlib.contextmanager
+def replace_on_success(path: str) -> Iterator[TextIO]:
+    """A temporary file beside `path` that replaces it only when the block
+    ends without error, so a failed save leaves the previous file intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

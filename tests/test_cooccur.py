@@ -14,7 +14,7 @@ from claimgraph.cooccurrence import (
     score_corpus,
     update_pair_counts,
 )
-from claimgraph.errors import YearOrderError
+from claimgraph.errors import SchemaError, YearOrderError
 from claimgraph.graphs import PaperGraph, build_graph
 
 
@@ -158,3 +158,38 @@ def test_table_roundtrip(tmp_path):
     update_pair_counts(restored, [make_graph([("A1", "B2")], paper_id="n",
                                              year=2001)])
     assert restored == table
+
+
+@pytest.mark.parametrize("text", [
+    "#claimgraph-pairs v1\nthrough_year=2000\ncode1,code2,count\nA1,B2\n",
+    "#claimgraph-pairs v1\nthrough_year=2000\ncode1,code2,count\nA1,B2,many\n",
+    "#claimgraph-pairs v1\nthrough_year=soon\ncode1,code2,count\n",
+    "#claimgraph-pairs v1\nthrough_year=2000\ncode1,code2,count\nB2,A1,1\n",
+])
+def test_malformed_table_file_is_a_schema_error(tmp_path, text):
+    from claimgraph.cooccurrence import load_pair_table_file
+
+    path = tmp_path / "pairs.txt"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match="pairs.txt"):
+        load_pair_table_file(str(path))
+
+
+def test_failed_save_leaves_previous_table(tmp_path, monkeypatch):
+    import claimgraph.cooccurrence as cooccur_mod
+
+    path = tmp_path / "pairs.txt"
+    table = PairCountTable()
+    update_pair_counts(table, [make_graph([("A1", "B2")], year=1999)])
+    cooccur_mod.save_pair_table_file(table, str(path))
+    before = path.read_bytes()
+
+    def fail_midway(state, fh):
+        fh.write("#claimgraph-pairs v1\nthrough_year=")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cooccur_mod, "save_pair_table", fail_midway)
+    with pytest.raises(OSError):
+        cooccur_mod.save_pair_table_file(table, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.txt"]

@@ -2,6 +2,7 @@ import http.server
 import json
 import math
 import random
+import socket
 import threading
 
 import numpy as np
@@ -202,3 +203,47 @@ def test_remote_fetch_rejects_bad_payload():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+
+
+def _serve(status, body):
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    return http.server.HTTPServer(("127.0.0.1", 0), Handler)
+
+
+@pytest.mark.parametrize("status, body, error", [
+    (200, b"not json", SchemaError),
+    (200, b"[1, 2]", SchemaError),
+    (200, b'{"vectors": [["x"]]}', SchemaError),
+    (500, b"{}", OSError),
+], ids=["invalid-json", "not-an-object", "not-numeric", "http-500"])
+def test_remote_fetch_errors(status, body, error):
+    server = _serve(status, body)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(error):
+            fetch_remote_embeddings(
+                ["x"], url=f"http://127.0.0.1:{server.server_port}/embed")
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_remote_fetch_connection_refused_is_oserror():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    with pytest.raises(OSError):
+        fetch_remote_embeddings(["x"], url=f"http://127.0.0.1:{port}/embed",
+                                timeout=5)

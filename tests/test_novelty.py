@@ -6,7 +6,7 @@ import pytest
 
 from oracles import IsoClassifier, digraphs_isomorphic, novelty_from_scratch
 from synth import random_corpus
-from claimgraph.errors import SubsetBudgetExceeded, YearOrderError
+from claimgraph.errors import SchemaError, SubsetBudgetExceeded, YearOrderError
 from claimgraph.graphs import PaperGraph, build_graph
 from claimgraph.novelty import (
     LedgerState,
@@ -278,3 +278,38 @@ def test_loaded_ledger_rejects_stale_years():
     restored = load_ledger(buf)
     with pytest.raises(YearOrderError):
         advance_year(restored, [make_graph([("C3", "D4")], paper_id="q", year=2004)])
+
+
+@pytest.mark.parametrize("text", [
+    "#claimgraph-frontier v1\nyear=2000\ncolour=blue\n",
+    "#claimgraph-frontier v1\nyear=2000\npath_len=three\n",
+    "#claimgraph-frontier v1\nyear=2000\n[motifs]\n",
+    "#claimgraph-paths v1\n",
+])
+def test_malformed_ledger_file_is_a_schema_error(tmp_path, text):
+    from claimgraph.novelty import load_ledger_file
+
+    path = tmp_path / "frontier.txt"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match="frontier.txt"):
+        load_ledger_file(str(path))
+
+
+def test_failed_save_leaves_previous_ledger(tmp_path, monkeypatch):
+    import claimgraph.novelty as novelty_mod
+
+    path = tmp_path / "frontier.txt"
+    ledger = LedgerState()
+    advance_year(ledger, [make_graph([("A1", "B2")], paper_id="p", year=2005)])
+    novelty_mod.save_ledger_file(ledger, str(path))
+    before = path.read_bytes()
+
+    def fail_midway(state, fh):
+        fh.write("#claimgraph-frontier v1\nyear=")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(novelty_mod, "save_ledger", fail_midway)
+    with pytest.raises(OSError):
+        novelty_mod.save_ledger_file(ledger, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["frontier.txt"]

@@ -341,3 +341,171 @@ def test_cli_ingest_merges_and_serializes(tmp_path, landmark_path):
     merged = {d["paper_id"]: d for d in lines}
     assert merged["mobility14"]["pub_tier"] == "Top5"
     assert merged["mobility14"]["citations"] == 11
+
+
+# --- one build per view, one z-scoring, one column registry ------------------
+
+
+@pytest.fixture()
+def synth_run(tmp_path):
+    """`run` over a synthetic corpus with an outcome table and ranks."""
+    records = random_corpus(61, n_papers=80, year_lo=2000, year_hi=2005,
+                            pool_size=20, max_claims=6)
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(records_to_jsonl(records))
+    outcomes = tmp_path / "outcomes.csv"
+    with open(outcomes, "w") as fh:
+        fh.write("paper_id,journal,citations\n")
+        for i, record in enumerate(records[::2]):
+            fh.write(f"{record.paper_id},{('aer', 'jpe', 'other')[i % 3]},{i}\n")
+    ranks = tmp_path / "ranks.csv"
+    ranks.write_text("journal,tier\naer,Top5\njpe,Top6to20\n")
+    config = PipelineConfig(corpus=str(corpus), outcomes=[str(outcomes)],
+                            ranks=str(ranks))
+    return records, config, tmp_path
+
+
+def test_run_builds_each_view_graph_once(synth_run, monkeypatch):
+    import claimgraph.graphs as graphs_mod
+    import claimgraph.pipeline as pipeline_mod
+
+    records, config, tmp_path = synth_run
+    calls = []
+
+    def counting_build(record, view="full"):
+        calls.append(view)
+        return build_graph(record, view)
+
+    monkeypatch.setattr(graphs_mod, "build_graph", counting_build)
+    monkeypatch.setattr(pipeline_mod, "build_graph", counting_build)
+    run_pipeline(config, str(tmp_path / "out"))
+    assert len(calls) == 3 * len(records)
+    assert {calls.count(v) for v in ("full", "causal", "noncausal")} == {len(records)}
+
+
+def test_cli_regress_on_run_measures_with_merged_outcomes(synth_run):
+    _, config, tmp_path = synth_run
+    out = tmp_path / "out"
+    run_pipeline(config, str(out))
+    assert "outcomes.csv" in (out / "measures.csv").read_text()
+    specs = tmp_path / "specs.csv"
+    specs.write_text("outcome,measure,view,fe,cluster\n"
+                     "Top5,prop_causal_edges,,1,by_year\n"
+                     "LogCitesPlus1,num_unique_paths,full,0,none\n")
+    proc = run_cli("regress", "--measures", str(out / "measures.csv"),
+                   "--specs", str(specs))
+    got = proc.stdout.splitlines()
+    # The run's own battery fitted the same two cells from the same rows.
+    battery = {line.rsplit(",", 1)[0]
+               for line in (out / "regressions.csv").read_text().splitlines()}
+    assert got[0] == "outcome,measure,view,fe,cluster,alpha,beta,se_beta,n,r_squared"
+    assert len(got) == 3
+    assert got[1] in battery
+    assert got[2].replace("num_unique_paths,full", "num_unique_paths_full,") \
+        in battery
+
+
+def test_cli_centrality_matches_run_centrality_csv(synth_run):
+    records, config, tmp_path = synth_run
+    out = tmp_path / "out"
+    run_pipeline(config, str(out))
+    proc = run_cli("centrality", "--corpus", config.corpus, "--view", "full")
+    run_lines = (out / "centrality.csv").read_text().splitlines()
+    assert proc.stdout.splitlines() == (
+        run_lines[:1] + [ln for ln in run_lines[1:] if ln.split(",")[2] == "full"])
+    assert len(run_lines) == 1 + 3 * len(records)
+
+
+def test_cli_measures_matches_run_measures_csv(synth_run):
+    _, config, tmp_path = synth_run
+    out = tmp_path / "out"
+    run_pipeline(config, str(out))
+    cli_out = tmp_path / "m.csv"
+    run_cli("measures", "--corpus", config.corpus, "--out", str(cli_out))
+    cli_rows = read_csv_dicts(str(cli_out))
+    run_rows = read_csv_dicts(str(out / "measures.csv"))
+    assert len(cli_rows[0]) == 14
+    assert cli_rows == [{k: r[k] for k in cli_rows[0]} for r in run_rows]
+
+
+# --- one-line errors at the state-file and argument boundaries --------------
+
+
+def _ledger(tmp_path, path_len=2, subgraph_size=2):
+    corpus = tmp_path / "early.jsonl"
+    corpus.write_text(records_to_jsonl(random_corpus(
+        7, n_papers=30, year_lo=2000, year_hi=2002, pool_size=12, max_claims=5)))
+    ledger = tmp_path / "frontier.txt"
+    run_cli("novelty", "--corpus", str(corpus), "--ledger-out", str(ledger),
+            "--path-len", str(path_len), "--subgraph-size", str(subgraph_size),
+            "--out", str(tmp_path / "early.csv"))
+    return ledger
+
+
+def _late_corpus(tmp_path):
+    late = tmp_path / "late.jsonl"
+    late.write_text(records_to_jsonl(random_corpus(
+        8, n_papers=10, year_lo=2003, year_hi=2004, pool_size=12, max_claims=5)))
+    return late
+
+
+def _bad_ledger(tmp_path):
+    ledger = _ledger(tmp_path)
+    text = ledger.read_text().replace("path_len=", "colour=blue\npath_len=")
+    ledger.write_text(text)
+    return ["novelty", "--corpus", str(_late_corpus(tmp_path)),
+            "--ledger-in", str(ledger)]
+
+
+def _bad_pair_table(tmp_path):
+    table = tmp_path / "pairs.txt"
+    table.write_text("#claimgraph-pairs v1\nthrough_year=2002\n"
+                     "code1,code2,count\nA1,B2\n")
+    return ["gaps", "--corpus", str(_late_corpus(tmp_path)),
+            "--table-in", str(table)]
+
+
+def _unseen_code(tmp_path):
+    return ["node-series", "--corpus", str(_late_corpus(tmp_path)),
+            "--code", "Z99"]
+
+
+def _bad_config_value(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus={_late_corpus(tmp_path)}\ntau=five\n")
+    return ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+
+
+def _flag_mismatch(flag, value):
+    def make(tmp_path):
+        return ["novelty", "--corpus", str(_late_corpus(tmp_path)),
+                "--ledger-in", str(_ledger(tmp_path)), flag, value]
+    return make
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (_bad_ledger, "unknown ledger header 'colour'"),
+    (_bad_pair_table, "pairs.txt: not enough values to unpack"),
+    (_unseen_code, "'Z99' never appears"),
+    (_bad_config_value, "line 2: tau must be int, got 'five'"),
+    (_flag_mismatch("--path-len", "3"), "--path-len 3 does not match path_len=2"),
+    (_flag_mismatch("--subgraph-size", "3"),
+     "--subgraph-size 3 does not match subgraph_size=2"),
+], ids=["ledger-header", "pair-row", "unseen-code", "config-value", "path-len",
+        "subgraph-size"])
+def test_cli_boundary_errors_are_one_line(tmp_path, make_argv, message):
+    proc = run_cli(*make_argv(tmp_path), expect=1)
+    assert proc.stderr.startswith("claimgraph: ")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["--path-len", "2"],
+                                   ["--subgraph-size", "2", "--path-len", "2"]])
+def test_cli_novelty_resume_takes_ledger_parameters(tmp_path, flags):
+    ledger = _ledger(tmp_path)
+    resumed = tmp_path / "resumed.txt"
+    run_cli("novelty", "--corpus", str(_late_corpus(tmp_path)),
+            "--ledger-in", str(ledger), "--ledger-out", str(resumed), *flags)
+    header = resumed.read_text().splitlines()[:4]
+    assert header[2:] == ["path_len=2", "subgraph_size=2"]
