@@ -26,20 +26,37 @@ DEFAULT_MAX_ITER = 1000
 
 @dataclass
 class CumulativeGraph:
-    """Directed graph unioned over all papers processed so far."""
+    """Directed graph unioned over all papers processed so far.
+
+    Grow it through `add_papers`: the index arrays the centrality kernels
+    share are built once per state and dropped there.
+    """
 
     view: str = "full"
     nodes: set[str] = field(default_factory=set)
     edges: set[tuple[str, str]] = field(default_factory=set)
+    _arrays: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def add_papers(self, papers: Iterable[PaperGraph]) -> None:
         for graph in papers:
             self.nodes |= graph.nodes
             self.edges |= graph.edges
+        self._arrays = None
 
-
-def _index(nodes: set[str]) -> dict[str, int]:
-    return {node: idx for idx, node in enumerate(sorted(nodes))}
+    def index_arrays(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Sorted node names and the (src, dst) index arrays of the edges,
+        sorted by source, then target."""
+        if self._arrays is None:
+            names = sorted(self.nodes)
+            index = {node: idx for idx, node in enumerate(names)}
+            n = len(names)
+            keys = np.fromiter((index[u] * n + index[v] for u, v in self.edges),
+                               dtype=np.int64, count=len(self.edges))
+            keys.sort()
+            src, dst = np.divmod(keys, n)
+            self._arrays = (names, src, dst)
+        return self._arrays
 
 
 def eigenvector_centrality(graph: CumulativeGraph, tol: float = DEFAULT_TOL,
@@ -52,14 +69,13 @@ def eigenvector_centrality(graph: CumulativeGraph, tol: float = DEFAULT_TOL,
     """
     if not graph.nodes:
         return {}
-    index = _index(graph.nodes)
-    n = len(index)
-    a = np.zeros((n, n))
-    for u, v in graph.edges:
-        a[index[u], index[v]] = 1.0
-        a[index[v], index[u]] = 1.0
     if not graph.edges:
         return {node: 0.0 for node in graph.nodes}
+    names, src, dst = graph.index_arrays()
+    n = len(names)
+    a = np.zeros((n, n))
+    a[src, dst] = 1.0
+    a[dst, src] = 1.0
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
         nxt = a @ x + x
@@ -75,7 +91,7 @@ def eigenvector_centrality(graph: CumulativeGraph, tol: float = DEFAULT_TOL,
     peak = x.max()
     if peak > 0:
         x = x / peak
-    return {node: float(x[idx]) for node, idx in index.items()}
+    return dict(zip(names, x.tolist()))
 
 
 def pagerank(graph: CumulativeGraph, damping: float = DEFAULT_DAMPING,
@@ -85,26 +101,30 @@ def pagerank(graph: CumulativeGraph, damping: float = DEFAULT_DAMPING,
 
     Teleportation is uniform and dangling-node mass is spread uniformly, so
     probability mass is conserved every iteration.
+
+    Each iteration is one `np.bincount`, which adds its weights in input
+    order: every node takes the base first, then its in-shares in ascending
+    source order (edges are sorted by source). The dangling mass is a
+    running sum in node order. Both orders fix the result to the last bit.
     """
     if not graph.nodes:
         return {}
-    index = _index(graph.nodes)
-    n = len(index)
-    out_neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in graph.edges:
-        out_neighbors[index[u]].append(index[v])
+    names, src, dst = graph.index_arrays()
+    n = len(names)
+    outdeg = np.bincount(src, minlength=n)
+    linked = np.flatnonzero(outdeg)
+    dangling_nodes = np.flatnonzero(outdeg == 0)
+    targets = np.concatenate([np.arange(n), dst])
+    weights = np.empty(n + src.size)
     x = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
+    weights[:n] = base
+    share = np.zeros(n)
     for _ in range(max_iter):
-        nxt = np.full(n, base)
-        dangling = 0.0
-        for i, neighbors in enumerate(out_neighbors):
-            if neighbors:
-                share = damping * x[i] / len(neighbors)
-                for j in neighbors:
-                    nxt[j] += share
-            else:
-                dangling += x[i]
+        share[linked] = damping * x[linked] / outdeg[linked]
+        weights[n:] = share[src]
+        nxt = np.bincount(targets, weights=weights)
+        dangling = np.cumsum(x[dangling_nodes])[-1] if dangling_nodes.size else 0.0
         nxt += damping * dangling / n
         residual = float(np.abs(nxt - x).sum() / np.abs(nxt).sum())
         x = nxt
@@ -112,7 +132,7 @@ def pagerank(graph: CumulativeGraph, damping: float = DEFAULT_DAMPING,
             break
     else:
         raise ConvergenceError("pagerank did not converge", residual)
-    return {node: float(x[idx]) for node, idx in index.items()}
+    return dict(zip(names, x.tolist()))
 
 
 @dataclass(frozen=True)

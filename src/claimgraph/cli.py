@@ -124,6 +124,8 @@ def cmd_novelty(args) -> int:
         given = getattr(args, key)
         if given is None:
             continue
+        if key == "subgraph_size" and given not in novelty_mod.SUBGRAPH_SIZES:
+            raise SchemaError(f"--subgraph-size must be 2..4, got {given}")
         if args.ledger_in and given != getattr(ledger, key):
             raise SchemaError(
                 f"--{key.replace('_', '-')} {given} does not match "
@@ -180,12 +182,17 @@ def cmd_node_series(args) -> int:
 
 def cmd_regress(args) -> int:
     rows: list[dict] = []
-    for entry in read_csv_dicts(args.measures):
+    entries = read_csv_dicts(args.measures)
+    if entries and "year" not in entries[0]:
+        raise SchemaError(f"{args.measures}: missing column 'year'")
+    for entry in entries:
         row: dict = {"paper_id": entry.get("paper_id", ""),
                      "pub_tier": entry.get("pub_tier") or None,
                      "outcome_source": entry.get("outcome_source") or None}
         try:
             row["year"] = parse_int(entry.get("year", ""))
+            if row["year"] is None:
+                raise ValueError("missing year")
             row["citations"] = parse_int(entry.get("citations", ""))
             for key, value in entry.items():
                 if key not in row:

@@ -22,6 +22,7 @@ from .tableio import replace_on_success
 DEFAULT_PATH_LEN = 3
 DEFAULT_SUBGRAPH_SIZE = 3
 DEFAULT_SUBSET_CAP = 1_000_000
+SUBGRAPH_SIZES = range(2, 5)
 
 LEDGER_MAGIC = "#claimgraph-frontier v1"
 
@@ -66,7 +67,7 @@ def canonical_signature(nodes: Sequence[str], edges: set[tuple[str, str]]) -> st
 def iter_subgraph_signatures(graph: PaperGraph, size: int,
                              subset_cap: int = DEFAULT_SUBSET_CAP):
     """Signatures of all induced `size`-node subgraphs carrying >= 1 edge."""
-    if not 2 <= size <= 4:
+    if size not in SUBGRAPH_SIZES:
         raise ValueError(f"subgraph size must be 2..4, got {size}")
     nodes = sorted(graph.nodes)
     if len(nodes) >= size:
@@ -220,6 +221,8 @@ def load_ledger(fh: TextIO) -> LedgerState:
                 ledger.path_len = int(value)
             elif key == "subgraph_size":
                 ledger.subgraph_size = int(value)
+                if ledger.subgraph_size not in SUBGRAPH_SIZES:
+                    raise ValueError(f"subgraph_size must be 2..4, got {value}")
             else:
                 raise ValueError(f"unknown ledger header {key!r}")
         else:

@@ -28,7 +28,13 @@ from .ingest import (
     parse_corpus_file,
 )
 from .model import PaperRecord
-from .regression import OUTCOMES, RegressionSpec, load_spec_file, run_spec
+from .regression import (
+    OUTCOMES,
+    RegressionSpec,
+    _fit_spec,
+    _outcome_values,
+    load_spec_file,
+)
 from .tableio import write_csv, write_csv_dicts
 from .trends import aggregate_trends
 
@@ -138,6 +144,10 @@ def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
             except ValueError:
                 raise SchemaError(f"{key} must be {types[key]}, got {value!r}",
                                   line_no=line_no) from None
+            sizes = novelty_mod.SUBGRAPH_SIZES
+            if key == "subgraph_size" and config.subgraph_size not in sizes:
+                raise SchemaError(f"subgraph_size must be 2..4, got {value}",
+                                  line_no=line_no)
     if not config.corpus:
         raise SchemaError("config is missing corpus=")
     return config
@@ -244,16 +254,20 @@ def default_battery() -> list[RegressionSpec]:
 def run_regressions(rows: list[dict], specs: list[RegressionSpec],
                     keep_errors: bool = True) -> list[dict]:
     """Run specs in order; with keep_errors, inestimable specs become rows
-    with an error note instead of aborting the run."""
+    with an error note instead of aborting the run. Each outcome's values
+    are built once, for its first spec."""
     out: list[dict] = []
+    outcomes: dict[str, tuple] = {}
     for spec in specs:
         base = {
             "outcome": spec.outcome, "measure": spec.measure,
             "view": spec.view, "fe": int(spec.fixed_effects),
             "cluster": spec.cluster,
         }
+        if spec.outcome not in outcomes:
+            outcomes[spec.outcome] = _outcome_values(rows, spec.outcome)
         try:
-            res = run_spec(rows, spec)
+            res = _fit_spec(rows, spec, outcomes[spec.outcome])
         except (CollinearityError, SchemaError) as exc:
             if not keep_errors:
                 raise

@@ -167,7 +167,13 @@ def run_spec(rows: list[dict], spec: RegressionSpec) -> RegressionResult:
     when the outcome is underivable or the regressor is collinear with the
     fixed effects.
     """
-    outcome_vals, any_defined = _outcome_values(rows, spec.outcome)
+    return _fit_spec(rows, spec, _outcome_values(rows, spec.outcome))
+
+
+def _fit_spec(rows: list[dict], spec: RegressionSpec,
+              outcome: tuple[list[float | None], bool]) -> RegressionResult:
+    """`run_spec` on outcome values already built by `_outcome_values`."""
+    outcome_vals, any_defined = outcome
     if not any_defined:
         raise SchemaError(f"outcome {spec.outcome} underivable: no defined values")
     column = spec.column

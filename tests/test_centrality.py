@@ -1,11 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from oracles import eigen_dense_oracle, pagerank_solve_oracle
 from synth import random_corpus, random_digraph
 from claimgraph.centrality import (
+    DEFAULT_DAMPING,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     CumulativeGraph,
     eigenvector_centrality,
     node_centrality_series,
@@ -260,3 +264,171 @@ def test_causal_view_prior_graph_only_sees_causal_edges():
         for p in full_stats
     ]
     assert max(diffs) > 0
+
+
+# --- bit-identity with the loop-based kernels ---------------------------------
+#
+# The two references below are the kernels as they were before the index-array
+# rewrite: a per-edge adjacency build and a per-node PageRank loop. The rewrite
+# must reproduce them to the last bit, so these tests compare with ==.
+
+
+def _reference_eigenvector(graph, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    if not graph.nodes:
+        return {}
+    index = {node: idx for idx, node in enumerate(sorted(graph.nodes))}
+    n = len(index)
+    a = np.zeros((n, n))
+    for u, v in graph.edges:
+        a[index[u], index[v]] = 1.0
+        a[index[v], index[u]] = 1.0
+    if not graph.edges:
+        return {node: 0.0 for node in graph.nodes}
+    x = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        nxt = a @ x + x
+        nxt /= nxt.sum()
+        residual = float(np.abs(nxt - x).sum() / np.abs(nxt).sum())
+        x = nxt
+        if residual < tol:
+            break
+    else:
+        raise ConvergenceError("eigenvector centrality did not converge", residual)
+    isolated = a.sum(axis=1) == 0
+    x[isolated] = 0.0
+    peak = x.max()
+    if peak > 0:
+        x = x / peak
+    return {node: float(x[idx]) for node, idx in index.items()}
+
+
+def _reference_pagerank(graph, damping=DEFAULT_DAMPING, tol=DEFAULT_TOL,
+                        max_iter=DEFAULT_MAX_ITER):
+    if not graph.nodes:
+        return {}
+    index = {node: idx for idx, node in enumerate(sorted(graph.nodes))}
+    n = len(index)
+    out_neighbors = [[] for _ in range(n)]
+    for u, v in graph.edges:
+        out_neighbors[index[u]].append(index[v])
+    x = np.full(n, 1.0 / n)
+    base = (1.0 - damping) / n
+    for _ in range(max_iter):
+        nxt = np.full(n, base)
+        dangling = 0.0
+        for i, neighbors in enumerate(out_neighbors):
+            if neighbors:
+                share = damping * x[i] / len(neighbors)
+                for j in neighbors:
+                    nxt[j] += share
+            else:
+                dangling += x[i]
+        nxt += damping * dangling / n
+        residual = float(np.abs(nxt - x).sum() / np.abs(nxt).sum())
+        x = nxt
+        if residual < tol:
+            break
+    else:
+        raise ConvergenceError("pagerank did not converge", residual)
+    return {node: float(x[idx]) for node, idx in index.items()}
+
+
+def _outcome(kernel, graph, **kwargs):
+    """A kernel's scores, or the residual of its ConvergenceError."""
+    try:
+        return kernel(graph, **kwargs)
+    except ConvergenceError as exc:
+        return ("no convergence", exc.residual)
+
+
+def _hub_graph(rng, n_nodes, n_edges):
+    """Random digraph whose targets are skewed towards a few hubs, so nodes
+    take many in-shares. Roughly a third of the nodes keep no out-edge and
+    a few stay isolated."""
+    nodes = [f"H{i:03d}" for i in range(n_nodes)]
+    senders = nodes[: 2 * n_nodes // 3]
+    weights = [1.0 / (rank + 1) for rank in range(n_nodes)]
+    edges = set()
+    for _ in range(n_edges):
+        u = rng.choice(senders)
+        v = rng.choices(nodes, weights)[0]
+        if u != v:
+            edges.add((u, v))
+    return set(nodes) | {f"Z{i}" for i in range(3)}, edges
+
+
+def _special_graphs():
+    cycle = [f"C{i}" for i in range(7)]
+    return {
+        "single-node": ({"A1"}, set()),
+        "edgeless": ({"A1", "B2", "C3"}, set()),
+        "cycle": (set(cycle), {(cycle[i], cycle[(i + 1) % 7]) for i in range(7)}),
+        "dangling-and-isolated": ({"A1", "B2", "C3", "D4", "Z9"},
+                                  {("A1", "B2"), ("A1", "C3"), ("B2", "C3"),
+                                   ("D4", "C3")}),
+        "two-stars": ({"H1", "H2", *(f"L{i}" for i in range(8))},
+                      {*(("H1", f"L{i}") for i in range(5)),
+                       *((f"L{i}", "H2") for i in range(5, 8))}),
+    }
+
+
+def _random_graphs():
+    rng = random.Random(4242)
+    graphs = [random_digraph(rng, rng.randint(2, 40), rng.uniform(0.02, 0.3))
+              for _ in range(30)]
+    graphs += [_hub_graph(rng, n, 6 * n) for n in (20, 60, 150, 400)]
+    return graphs
+
+
+@pytest.mark.parametrize("name", sorted(_special_graphs()))
+def test_kernels_bit_identical_on_special_graphs(name):
+    nodes, edges = _special_graphs()[name]
+    g = CumulativeGraph(nodes=set(nodes), edges=set(edges))
+    assert _outcome(pagerank, g) == _outcome(_reference_pagerank, g)
+    assert _outcome(eigenvector_centrality, g) == \
+        _outcome(_reference_eigenvector, g)
+
+
+@pytest.mark.parametrize("damping", [DEFAULT_DAMPING, 0.5])
+def test_pagerank_bit_identical_on_random_graphs(damping):
+    for trial, (nodes, edges) in enumerate(_random_graphs()):
+        g = CumulativeGraph(nodes=nodes, edges=edges)
+        want = _outcome(_reference_pagerank, g, damping=damping)
+        assert isinstance(want, dict), trial
+        assert _outcome(pagerank, g, damping=damping) == want, trial
+
+
+def test_eigenvector_bit_identical_on_random_graphs():
+    for trial, (nodes, edges) in enumerate(_random_graphs()):
+        g = CumulativeGraph(nodes=nodes, edges=edges)
+        # Disconnected graphs may not converge; then both must fail alike.
+        assert _outcome(eigenvector_centrality, g) == \
+            _outcome(_reference_eigenvector, g), trial
+
+
+def test_kernels_bit_identical_on_corpus_years():
+    records = random_corpus(29, n_papers=300, year_lo=2000, year_hi=2009,
+                            pool_size=40, max_claims=6)
+    cumulative = CumulativeGraph()
+    for year in range(2000, 2010):
+        cumulative.add_papers(build_graph(r, "full") for r in records
+                              if r.year == year)
+        assert pagerank(cumulative) == _reference_pagerank(cumulative), year
+        assert _outcome(eigenvector_centrality, cumulative) == \
+            _outcome(_reference_eigenvector, cumulative), year
+
+
+def test_scores_after_add_papers_match_a_fresh_graph():
+    early = make_graph([("A1", "B2"), ("B2", "C3")], paper_id="p1", year=2000)
+    late = make_graph([("C3", "A1"), ("D4", "A1"), ("A1", "E5")],
+                      paper_id="p2", year=2001)
+    cumulative = CumulativeGraph()
+    cumulative.add_papers([early])
+    first = (eigenvector_centrality(cumulative), pagerank(cumulative))
+    cumulative.add_papers([late])
+    again = (eigenvector_centrality(cumulative), pagerank(cumulative))
+    fresh = CumulativeGraph(nodes=set(cumulative.nodes),
+                            edges=set(cumulative.edges))
+    assert again == (eigenvector_centrality(fresh), pagerank(fresh))
+    assert set(first[1]) == {"A1", "B2", "C3"}
+    assert set(again[1]) == {"A1", "B2", "C3", "D4", "E5"}

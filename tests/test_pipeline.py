@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import claimgraph
 from synth import random_corpus, records_to_jsonl
 from claimgraph.errors import SchemaError
 from claimgraph.ingest import parse_corpus_file
@@ -200,6 +201,35 @@ def test_run_regressions_keep_errors_collects_notes():
 # --- synthetic corpus stability ---------------------------------------------
 
 
+def test_run_regressions_builds_each_outcome_once(monkeypatch):
+    import claimgraph.pipeline as pipeline_mod
+    from claimgraph.regression import _outcome_values, run_spec
+
+    records = random_corpus(5, n_papers=120, year_lo=2000, year_hi=2005,
+                            pool_size=15, max_claims=5)
+    for i, record in enumerate(records):
+        record.pub_tier = ("Top5", "Top6to20", "Other")[i % 3]
+        record.citations = i % 7
+    rows = compute_measure_rows(records, PipelineConfig())
+    built = []
+
+    def counting(rows, outcome):
+        built.append(outcome)
+        return _outcome_values(rows, outcome)
+
+    monkeypatch.setattr(pipeline_mod, "_outcome_values", counting)
+    specs = default_battery()
+    got = run_regressions(rows, specs)
+    assert sorted(built) == sorted({spec.outcome for spec in specs})
+    for spec, row in zip(specs, got):
+        if row["error"] is None:
+            res = run_spec(rows, spec)
+            assert (row["alpha"], row["beta"], row["se_beta"], row["n"],
+                    row["r_squared"]) == (res.alpha, res.beta, res.se_beta,
+                                          res.n, res.r_squared)
+    assert sum(row["error"] is None for row in got) > len(specs) // 2
+
+
 def test_pipeline_on_synthetic_corpus_is_stable(tmp_path):
     records = random_corpus(404, n_papers=120, year_lo=1995, year_hi=2005,
                             pool_size=25, max_claims=6)
@@ -219,9 +249,17 @@ def test_pipeline_on_synthetic_corpus_is_stable(tmp_path):
 # --- command line -------------------------------------------------------------
 
 
+# The CLI subprocess imports the same claimgraph as the tests, from a
+# checkout as well as from an installed package.
+SRC_DIR = os.path.dirname(os.path.dirname(claimgraph.__file__))
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)}
+
+
 def run_cli(*args, expect=0):
     proc = subprocess.run([sys.executable, "-m", "claimgraph", *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env=CLI_ENV)
     assert proc.returncode == expect, proc.stderr
     return proc
 
@@ -476,6 +514,43 @@ def _bad_config_value(tmp_path):
     return ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
 
 
+def _subgraph_size_flag(tmp_path):
+    return ["novelty", "--corpus", str(_late_corpus(tmp_path)),
+            "--subgraph-size", "5"]
+
+
+def _subgraph_size_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus={_late_corpus(tmp_path)}\nsubgraph_size=5\n")
+    return ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+
+
+def _subgraph_size_ledger(tmp_path):
+    ledger = _ledger(tmp_path)
+    ledger.write_text(ledger.read_text().replace("subgraph_size=2",
+                                                 "subgraph_size=5"))
+    return ["novelty", "--corpus", str(_late_corpus(tmp_path)),
+            "--ledger-in", str(ledger)]
+
+
+def _regress_without_year(tmp_path):
+    measures = tmp_path / "noyear.csv"
+    measures.write_text("paper_id,pub_tier,citations,prop_causal_edges\n"
+                        "p1,Top5,3,0.5\np2,Other,0,0.25\np3,Top5,8,1.0\n")
+    specs = tmp_path / "specs.csv"
+    specs.write_text("outcome,measure,view,fe,cluster\n"
+                     "Top5,prop_causal_edges,,0,none\n")
+    return ["regress", "--measures", str(measures), "--specs", str(specs)]
+
+
+def _regress_empty_year(tmp_path):
+    argv = _regress_without_year(tmp_path)
+    (tmp_path / "noyear.csv").write_text(
+        "paper_id,year,pub_tier,prop_causal_edges\np1,2001,Top5,0.5\n"
+        "p2,,Other,0.25\n")
+    return argv
+
+
 def _flag_mismatch(flag, value):
     def make(tmp_path):
         return ["novelty", "--corpus", str(_late_corpus(tmp_path)),
@@ -491,8 +566,14 @@ def _flag_mismatch(flag, value):
     (_flag_mismatch("--path-len", "3"), "--path-len 3 does not match path_len=2"),
     (_flag_mismatch("--subgraph-size", "3"),
      "--subgraph-size 3 does not match subgraph_size=2"),
+    (_subgraph_size_flag, "--subgraph-size must be 2..4, got 5"),
+    (_subgraph_size_config, "line 2: subgraph_size must be 2..4, got 5"),
+    (_subgraph_size_ledger, "frontier.txt: subgraph_size must be 2..4, got 5"),
+    (_regress_without_year, "noyear.csv: missing column 'year'"),
+    (_regress_empty_year, "noyear.csv: paper 'p2': missing year"),
 ], ids=["ledger-header", "pair-row", "unseen-code", "config-value", "path-len",
-        "subgraph-size"])
+        "subgraph-size", "subgraph-size-flag", "subgraph-size-config",
+        "subgraph-size-ledger", "regress-no-year", "regress-empty-year"])
 def test_cli_boundary_errors_are_one_line(tmp_path, make_argv, message):
     proc = run_cli(*make_argv(tmp_path), expect=1)
     assert proc.stderr.startswith("claimgraph: ")
