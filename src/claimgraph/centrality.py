@@ -28,35 +28,57 @@ DEFAULT_MAX_ITER = 1000
 class CumulativeGraph:
     """Directed graph unioned over all papers processed so far.
 
-    Grow it through `add_papers`: the index arrays the centrality kernels
-    share are built once per state and dropped there.
+    Grow it through `add_papers`. Alongside the node and edge sets it keeps
+    the sorted node names and a sorted int64 key `src * n + dst` per edge,
+    over positions in that name order, so a year's growth costs work on its
+    new nodes and edges only.
     """
 
     view: str = "full"
     nodes: set[str] = field(default_factory=set)
     edges: set[tuple[str, str]] = field(default_factory=set)
-    _arrays: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    _names: list[str] = field(default_factory=list, init=False, repr=False,
+                              compare=False)
+    _keys: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64),
+                              init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._index(self.nodes, self.edges)
 
     def add_papers(self, papers: Iterable[PaperGraph]) -> None:
+        nodes: set[str] = set()
+        edges: set[tuple[str, str]] = set()
         for graph in papers:
-            self.nodes |= graph.nodes
-            self.edges |= graph.edges
-        self._arrays = None
+            nodes |= graph.nodes
+            edges |= graph.edges
+        nodes -= self.nodes
+        edges -= self.edges
+        self.nodes |= nodes
+        self.edges |= edges
+        self._index(nodes, edges)
+
+    def _index(self, new_nodes: set[str], new_edges: set[tuple[str, str]]) -> None:
+        """Fold nodes and edges not yet indexed into the names and keys."""
+        names = sorted([*self._names, *new_nodes])
+        position = {node: idx for idx, node in enumerate(names)}
+        n = len(names)
+        # Old positions map to new ones in increasing order, so the
+        # remapped old keys stay sorted.
+        moved = np.array([position[node] for node in self._names], dtype=np.int64)
+        src, dst = np.divmod(self._keys, max(len(self._names), 1))
+        new = np.fromiter((position[u] * n + position[v] for u, v in new_edges),
+                          dtype=np.int64, count=len(new_edges))
+        # The new keys are distinct from the old ones, so a stable sort (a
+        # merge of two sorted runs) gives what np.union1d would, faster.
+        keys = np.concatenate([moved[src] * n + moved[dst], np.sort(new)])
+        keys.sort(kind="stable")
+        self._names, self._keys = names, keys
 
     def index_arrays(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Sorted node names and the (src, dst) index arrays of the edges,
         sorted by source, then target."""
-        if self._arrays is None:
-            names = sorted(self.nodes)
-            index = {node: idx for idx, node in enumerate(names)}
-            n = len(names)
-            keys = np.fromiter((index[u] * n + index[v] for u, v in self.edges),
-                               dtype=np.int64, count=len(self.edges))
-            keys.sort()
-            src, dst = np.divmod(keys, n)
-            self._arrays = (names, src, dst)
-        return self._arrays
+        src, dst = np.divmod(self._keys, max(len(self._names), 1))
+        return self._names, src, dst
 
 
 def eigenvector_centrality(graph: CumulativeGraph, tol: float = DEFAULT_TOL,
@@ -77,6 +99,7 @@ def eigenvector_centrality(graph: CumulativeGraph, tol: float = DEFAULT_TOL,
     a[src, dst] = 1.0
     a[dst, src] = 1.0
     x = np.full(n, 1.0 / n)
+    residual = math.inf  # reported as is when max_iter allows no iteration
     for _ in range(max_iter):
         nxt = a @ x + x
         nxt /= nxt.sum()
@@ -120,6 +143,7 @@ def pagerank(graph: CumulativeGraph, damping: float = DEFAULT_DAMPING,
     base = (1.0 - damping) / n
     weights[:n] = base
     share = np.zeros(n)
+    residual = math.inf
     for _ in range(max_iter):
         share[linked] = damping * x[linked] / outdeg[linked]
         weights[n:] = share[src]

@@ -22,7 +22,7 @@ from .embedding import (
     match_concept,
     match_concept_all,
 )
-from .errors import ClaimGraphError, SchemaError
+from .errors import ClaimGraphError, SchemaError, check_range
 from .graphs import ComplexityMeasures, build_graph, complexity_measures
 from .ingest import (
     load_outcome_table,
@@ -120,15 +120,15 @@ def cmd_novelty(args) -> int:
     ledger = (novelty_mod.load_ledger_file(args.ledger_in) if args.ledger_in
               else novelty_mod.LedgerState())
     # A flag left out takes the ledger's value; a flag given must match it.
-    for key in ("path_len", "subgraph_size"):
+    for key, bounds in novelty_mod.LEDGER_RANGES.items():
         given = getattr(args, key)
         if given is None:
             continue
-        if key == "subgraph_size" and given not in novelty_mod.SUBGRAPH_SIZES:
-            raise SchemaError(f"--subgraph-size must be 2..4, got {given}")
+        flag = f"--{key.replace('_', '-')}"
+        check_range(flag, given, bounds)
         if args.ledger_in and given != getattr(ledger, key):
             raise SchemaError(
-                f"--{key.replace('_', '-')} {given} does not match "
+                f"{flag} {given} does not match "
                 f"{key}={getattr(ledger, key)} in {args.ledger_in}")
         setattr(ledger, key, given)
     scores, ledger = novelty_mod.score_corpus(graphs, ledger=ledger)

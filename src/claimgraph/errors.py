@@ -15,6 +15,16 @@ class SchemaError(ClaimGraphError):
         super().__init__(message)
 
 
+def check_range(name: str, value: int, bounds: tuple[int, int | None],
+                line_no: int | None = None) -> None:
+    """Raise SchemaError unless `value` lies within `bounds`, a (low, high)
+    pair whose high of None means no upper bound."""
+    low, high = bounds
+    if value < low or (high is not None and value > high):
+        text = f">= {low}" if high is None else f"{low}..{high}"
+        raise SchemaError(f"{name} must be {text}, got {value}", line_no=line_no)
+
+
 class DuplicatePaperError(SchemaError):
     """The same paper_id appears on two corpus lines."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 PUB_TIERS = ("Top5", "Top6to20", "Top21to100", "Other", "Unpublished", "Unknown")
 
@@ -95,26 +96,30 @@ KNOWN_NONCAUSAL_METHODS = frozenset(
 )
 
 
+@lru_cache(maxsize=4096)
 def normalize_method_tag(tag: str) -> str:
     """Trim, uppercase, collapse inner whitespace, and resolve aliases."""
     tag = re.sub(r"\s+", " ", tag.strip().upper())
     return METHOD_ALIASES.get(tag, tag)
 
 
+@lru_cache(maxsize=4096)
+def _normalized_tags(methods: tuple[str, ...]) -> tuple[str, ...]:
+    """Each tag normalized. A corpus repeats few tag tuples, so this runs
+    once per distinct tuple."""
+    return tuple(normalize_method_tag(t) for t in methods)
+
+
 def is_causal_methods(methods: tuple[str, ...] | list[str],
                       whitelist: frozenset[str] = CAUSAL_METHODS) -> bool:
     """True when any normalized tag sits on the causal whitelist."""
-    return any(normalize_method_tag(t) in whitelist for t in methods)
+    return any(t in whitelist for t in _normalized_tags(tuple(methods)))
 
 
 def unknown_method_tags(methods: tuple[str, ...] | list[str]) -> list[str]:
     """Normalized tags outside both the causal and the known non-causal sets."""
-    out = []
-    for t in methods:
-        norm = normalize_method_tag(t)
-        if norm not in CAUSAL_METHODS and norm not in KNOWN_NONCAUSAL_METHODS:
-            out.append(norm)
-    return out
+    return [t for t in _normalized_tags(tuple(methods))
+            if t not in CAUSAL_METHODS and t not in KNOWN_NONCAUSAL_METHODS]
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,8 @@ class ClaimEdge:
     """One directed claim between two concept codes.
 
     `methods` keeps the raw tags as given (sorted for stable round-trips);
-    `is_causal` is derived from them and never stored independently.
+    `is_causal` is derived from them once, at construction, and cannot be
+    set independently.
     """
 
     source: str
@@ -131,10 +137,10 @@ class ClaimEdge:
     sink_text: str = ""
     methods: tuple[str, ...] = ()
     relationship: str = "correlation"
+    is_causal: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_causal(self) -> bool:
-        return is_causal_methods(self.methods)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_causal", is_causal_methods(self.methods))
 
 
 @dataclass
@@ -152,7 +158,7 @@ class PaperRecord:
         """Normalized method tags used anywhere in the paper."""
         tags: set[str] = set()
         for e in self.edges:
-            tags.update(normalize_method_tag(t) for t in e.methods)
+            tags.update(_normalized_tags(tuple(e.methods)))
         return tags
 
     def prop_causal(self) -> float | None:

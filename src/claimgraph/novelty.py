@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Sequence, TextIO
 
-from .errors import SchemaError, SubsetBudgetExceeded
+from .errors import SchemaError, SubsetBudgetExceeded, check_range
 from .graphs import PaperGraph, batch_year, iter_simple_paths, year_batches
 from .tableio import replace_on_success
 
@@ -23,6 +23,10 @@ DEFAULT_PATH_LEN = 3
 DEFAULT_SUBGRAPH_SIZE = 3
 DEFAULT_SUBSET_CAP = 1_000_000
 SUBGRAPH_SIZES = range(2, 5)
+# Accepted (low, high) of each ledger parameter; None is no upper bound.
+# A path_len below 1 would be read as 1, since 1-edge paths always count.
+LEDGER_RANGES = {"path_len": (1, None),
+                 "subgraph_size": (SUBGRAPH_SIZES[0], SUBGRAPH_SIZES[-1])}
 
 LEDGER_MAGIC = "#claimgraph-frontier v1"
 
@@ -37,12 +41,14 @@ def edge_key(edge: tuple[str, str]) -> str:
 
 
 @lru_cache(maxsize=65536)
-def _signature_from_bits(k: int, edge_bits: frozenset[tuple[int, int]]) -> str:
+def _signature_from_mask(k: int, mask: int) -> str:
+    """Signature of the k-node digraph with edge (i, j) at bit i * k + j."""
+    edges = [(i, j) for i in range(k) for j in range(k) if mask >> (i * k + j) & 1]
     best: str | None = None
     for perm in permutations(range(k)):
         pos = {orig: idx for idx, orig in enumerate(perm)}
         bits = ["0"] * (k * k)
-        for i, j in edge_bits:
+        for i, j in edges:
             bits[pos[i] * k + pos[j]] = "1"
         candidate = "".join(bits)
         if best is None or candidate < best:
@@ -59,14 +65,21 @@ def canonical_signature(nodes: Sequence[str], edges: set[tuple[str, str]]) -> st
     """
     k = len(nodes)
     order = {node: idx for idx, node in enumerate(sorted(nodes))}
-    edge_bits = frozenset((order[u], order[v]) for u, v in edges
-                          if u in order and v in order)
-    return _signature_from_bits(k, edge_bits)
+    mask = 0
+    for u, v in edges:
+        if u in order and v in order:
+            mask |= 1 << (order[u] * k + order[v])
+    return _signature_from_mask(k, mask)
 
 
 def iter_subgraph_signatures(graph: PaperGraph, size: int,
                              subset_cap: int = DEFAULT_SUBSET_CAP):
-    """Signatures of all induced `size`-node subgraphs carrying >= 1 edge."""
+    """Signatures of all induced `size`-node subgraphs carrying >= 1 edge.
+
+    Nodes are positions in sorted order. Each node pair's edges are coded
+    once as two bits, from which each subset's adjacency mask is assembled
+    in the layout `canonical_signature` uses.
+    """
     if size not in SUBGRAPH_SIZES:
         raise ValueError(f"subgraph size must be 2..4, got {size}")
     nodes = sorted(graph.nodes)
@@ -74,12 +87,32 @@ def iter_subgraph_signatures(graph: PaperGraph, size: int,
         n_subsets = comb(len(nodes), size)
         if n_subsets > subset_cap:
             raise SubsetBudgetExceeded(graph.paper_id, n_subsets, subset_cap)
-    adj = graph.adjacency
-    for combo in combinations(nodes, size):
-        members = set(combo)
-        sub_edges = {(u, v) for u in combo for v in adj[u] if v in members}
-        if sub_edges:
-            yield canonical_signature(combo, sub_edges)
+    position = {node: idx for idx, node in enumerate(nodes)}
+    # pair[i][j]: bit 0 for the edge i->j, bit 1 for j->i.
+    pair = [[0] * len(nodes) for _ in nodes]
+    loops = 0
+    for u, v in graph.edges:
+        i, j = position[u], position[v]
+        if i == j:
+            loops |= 1 << i
+        else:
+            pair[i][j] |= 1
+            pair[j][i] |= 2
+    # For each slot pair a < b of a subset, the mask bits of each pair code.
+    slots = []
+    for a, b in combinations(range(size), 2):
+        ab, ba = 1 << (a * size + b), 1 << (b * size + a)
+        slots.append((a, b, (0, ab, ba, ab | ba)))
+    for combo in combinations(range(len(nodes)), size):
+        mask = 0
+        for a, b, bits in slots:
+            mask |= bits[pair[combo[a]][combo[b]]]
+        if loops:
+            for a, i in enumerate(combo):
+                if loops >> i & 1:
+                    mask |= 1 << (a * size + a)
+        if mask:
+            yield _signature_from_mask(size, mask)
 
 
 @dataclass(frozen=True)
@@ -217,12 +250,9 @@ def load_ledger(fh: TextIO) -> LedgerState:
             key, _, value = line.partition("=")
             if key == "year":
                 ledger.current_year = int(value) if value else None
-            elif key == "path_len":
-                ledger.path_len = int(value)
-            elif key == "subgraph_size":
-                ledger.subgraph_size = int(value)
-                if ledger.subgraph_size not in SUBGRAPH_SIZES:
-                    raise ValueError(f"subgraph_size must be 2..4, got {value}")
+            elif key in LEDGER_RANGES:
+                setattr(ledger, key, int(value))
+                check_range(key, getattr(ledger, key), LEDGER_RANGES[key])
             else:
                 raise ValueError(f"unknown ledger header {key!r}")
         else:
@@ -234,5 +264,5 @@ def load_ledger_file(path: str) -> LedgerState:
     with open(path, encoding="utf-8") as fh:
         try:
             return load_ledger(fh)
-        except ValueError as exc:
+        except (ValueError, SchemaError) as exc:
             raise SchemaError(f"{path}: {exc}") from None

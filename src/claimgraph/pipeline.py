@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 from . import centrality as centrality_mod
 from . import cooccurrence as cooccur_mod
 from . import novelty as novelty_mod
-from .errors import ClaimGraphError, CollinearityError, SchemaError
+from .errors import ClaimGraphError, CollinearityError, SchemaError, check_range
 from .graphs import DEFAULT_PATH_CAP, VIEWS, build_graph, path_measures
 from .ingest import (
     DEFAULT_MAX_YEAR,
@@ -31,6 +31,7 @@ from .model import PaperRecord
 from .regression import (
     OUTCOMES,
     RegressionSpec,
+    _Columns,
     _fit_spec,
     _outcome_values,
     load_spec_file,
@@ -114,6 +115,8 @@ class PipelineConfig:
 
 
 _INPUT_KEYS = ("corpus", "outcomes", "ranks", "specs")
+# Parameters whose values outside a range would crash a run or be misread.
+_RANGES = {**novelty_mod.LEDGER_RANGES, "max_iter": (1, None)}
 # Every other key is a parameter, parsed by its field's annotated type.
 _PARSERS = {"bool": lambda v: v.lower() in ("1", "true", "yes"),
             "int": int, "float": float, "str": str}
@@ -144,10 +147,8 @@ def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
             except ValueError:
                 raise SchemaError(f"{key} must be {types[key]}, got {value!r}",
                                   line_no=line_no) from None
-            sizes = novelty_mod.SUBGRAPH_SIZES
-            if key == "subgraph_size" and config.subgraph_size not in sizes:
-                raise SchemaError(f"subgraph_size must be 2..4, got {value}",
-                                  line_no=line_no)
+            if key in _RANGES:
+                check_range(key, getattr(config, key), _RANGES[key], line_no)
     if not config.corpus:
         raise SchemaError("config is missing corpus=")
     return config
@@ -254,9 +255,10 @@ def default_battery() -> list[RegressionSpec]:
 def run_regressions(rows: list[dict], specs: list[RegressionSpec],
                     keep_errors: bool = True) -> list[dict]:
     """Run specs in order; with keep_errors, inestimable specs become rows
-    with an error note instead of aborting the run. Each outcome's values
-    are built once, for its first spec."""
+    with an error note instead of aborting the run. The years, each
+    outcome and each measure column are built once per call."""
     out: list[dict] = []
+    table = _Columns(rows)
     outcomes: dict[str, tuple] = {}
     for spec in specs:
         base = {
@@ -267,7 +269,7 @@ def run_regressions(rows: list[dict], specs: list[RegressionSpec],
         if spec.outcome not in outcomes:
             outcomes[spec.outcome] = _outcome_values(rows, spec.outcome)
         try:
-            res = _fit_spec(rows, spec, outcomes[spec.outcome])
+            res = _fit_spec(table, spec, outcomes[spec.outcome])
         except (CollinearityError, SchemaError) as exc:
             if not keep_errors:
                 raise

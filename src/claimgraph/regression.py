@@ -144,8 +144,36 @@ def clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
     return math.sqrt(variance)
 
 
-def _outcome_values(rows: list[dict], outcome: str) -> tuple[list[float | None], bool]:
-    """Per-row outcome values (None = missing) and whether any are defined."""
+Column = tuple[np.ndarray, np.ndarray]
+
+
+def _column(values: list) -> Column:
+    """float64 values, NaN where missing, and the mask of defined entries."""
+    defined = np.fromiter((v is not None for v in values), dtype=bool,
+                          count=len(values))
+    array = np.fromiter((math.nan if v is None else v for v in values),
+                        dtype=float, count=len(values))
+    return array, defined
+
+
+class _Columns:
+    """A measures table read by column: the years once, each measure column
+    once, on first use. Lives for one battery, so rows may change between
+    calls."""
+
+    def __init__(self, rows: list[dict]):
+        self.rows = rows
+        self.years = np.array([int(row["year"]) for row in rows])
+        self._built: dict[str, Column] = {}
+
+    def __getitem__(self, key: str) -> Column:
+        if key not in self._built:
+            self._built[key] = _column([row.get(key) for row in self.rows])
+        return self._built[key]
+
+
+def _outcome_values(rows: list[dict], outcome: str) -> Column:
+    """Per-row outcome values as a column."""
     values: list[float | None] = []
     if outcome in TIER_OUTCOMES:
         for row in rows:
@@ -157,7 +185,7 @@ def _outcome_values(rows: list[dict], outcome: str) -> tuple[list[float | None],
             values.append(None if cites is None else math.log(float(cites) + 1.0))
     else:
         raise ValueError(f"unknown outcome {outcome!r}")
-    return values, any(v is not None for v in values)
+    return _column(values)
 
 
 def run_spec(rows: list[dict], spec: RegressionSpec) -> RegressionResult:
@@ -167,29 +195,22 @@ def run_spec(rows: list[dict], spec: RegressionSpec) -> RegressionResult:
     when the outcome is underivable or the regressor is collinear with the
     fixed effects.
     """
-    return _fit_spec(rows, spec, _outcome_values(rows, spec.outcome))
+    return _fit_spec(_Columns(rows), spec, _outcome_values(rows, spec.outcome))
 
 
-def _fit_spec(rows: list[dict], spec: RegressionSpec,
-              outcome: tuple[list[float | None], bool]) -> RegressionResult:
-    """`run_spec` on outcome values already built by `_outcome_values`."""
-    outcome_vals, any_defined = outcome
-    if not any_defined:
+def _fit_spec(table: _Columns, spec: RegressionSpec,
+              outcome: Column) -> RegressionResult:
+    """`run_spec` on columns already built by `_Columns` and
+    `_outcome_values`."""
+    y, y_defined = outcome
+    if not y_defined.any():
         raise SchemaError(f"outcome {spec.outcome} underivable: no defined values")
     column = spec.column
-    y_list: list[float] = []
-    x_list: list[float] = []
-    year_list: list[int] = []
-    for row, y_val in zip(rows, outcome_vals):
-        x_val = row.get(column)
-        if y_val is None or x_val is None:
-            continue
-        y_list.append(y_val)
-        x_list.append(float(x_val))
-        year_list.append(int(row["year"]))
-    if not y_list:
+    x, x_defined = table[column]
+    usable = y_defined & x_defined
+    if not usable.any():
         raise SchemaError(f"no usable rows for {spec.outcome} ~ {column}")
-    result = ols_fit(np.array(y_list), np.array(x_list), np.array(year_list),
+    result = ols_fit(y[usable], x[usable], table.years[usable],
                      fixed_effects=spec.fixed_effects, cluster=spec.cluster)
     return RegressionResult(
         outcome=spec.outcome, measure=column, alpha=result.alpha,

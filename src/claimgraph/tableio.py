@@ -24,11 +24,23 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# `format_cell` by exact type, for the types tables hold; subclasses such
+# as numpy floats fall back to `format_cell` itself.
+_FORMATTERS = {
+    type(None): lambda value: "",
+    bool: lambda value: "1" if value else "0",
+    float: float.__repr__,
+    int: int.__repr__,
+    str: str,
+}
+
+
 def write_rows(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(header)
+    formatter = _FORMATTERS.get
     for row in rows:
-        writer.writerow([format_cell(v) for v in row])
+        writer.writerow([formatter(type(v), format_cell)(v) for v in row])
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],

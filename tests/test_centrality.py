@@ -418,6 +418,51 @@ def test_kernels_bit_identical_on_corpus_years():
             _outcome(_reference_eigenvector, cumulative), year
 
 
+def _rebuilt_index_arrays(graph):
+    """Index arrays built from scratch out of the node and edge sets."""
+    names = sorted(graph.nodes)
+    index = {node: idx for idx, node in enumerate(names)}
+    n = len(names)
+    keys = np.array(sorted(index[u] * n + index[v] for u, v in graph.edges),
+                    dtype=np.int64)
+    src, dst = np.divmod(keys, n)
+    return names, src, dst
+
+
+def _assert_same_arrays(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+def test_index_arrays_grow_like_a_rebuild_every_year():
+    # 44 years over a pool that keeps adding codes, so new codes land
+    # between old ones in sort order and every earlier key must move.
+    records = random_corpus(31, n_papers=440, year_lo=1980, year_hi=2023,
+                            pool_size=150, max_claims=6)
+    graphs = [build_graph(r, "full") for r in records]
+    cumulative = CumulativeGraph()
+    _assert_same_arrays(cumulative.index_arrays(),
+                        _rebuilt_index_arrays(cumulative))
+    for year in range(1980, 2024):
+        cumulative.add_papers(g for g in graphs if g.year == year)
+        want = _rebuilt_index_arrays(cumulative)
+        _assert_same_arrays(cumulative.index_arrays(), want)
+        fresh = CumulativeGraph(nodes=set(cumulative.nodes),
+                                edges=set(cumulative.edges))
+        _assert_same_arrays(fresh.index_arrays(), want)
+    assert len(cumulative.nodes) > 100
+
+
+@pytest.mark.parametrize("kernel", [eigenvector_centrality, pagerank])
+def test_zero_iterations_raise_convergence_error(kernel):
+    g = cumulative([("A1", "B2"), ("B2", "C3")])
+    with pytest.raises(ConvergenceError) as info:
+        kernel(g, max_iter=0)
+    assert info.value.residual == math.inf
+
+
 def test_scores_after_add_papers_match_a_fresh_graph():
     early = make_graph([("A1", "B2"), ("B2", "C3")], paper_id="p1", year=2000)
     late = make_graph([("C3", "A1"), ("D4", "A1"), ("A1", "E5")],

@@ -2,6 +2,8 @@ import pytest
 
 from claimgraph.model import (
     CAUSAL_METHODS,
+    KNOWN_NONCAUSAL_METHODS,
+    METHOD_ALIASES,
     ClaimEdge,
     PaperRecord,
     is_causal_methods,
@@ -64,6 +66,37 @@ def test_relationship_label_never_decides_causality():
     assert not edge.is_causal
     edge = ClaimEdge("A1", "B2", methods=("RCT",), relationship="correlation")
     assert edge.is_causal
+
+
+def _spellings(tag):
+    """The tag in mixed case and with extra whitespace."""
+    return [tag, tag.lower(), tag.title(), tag.swapcase(),
+            f"  {tag.replace(' ', '   ')}\t", f"\n{tag.lower()} "]
+
+
+@pytest.mark.parametrize("alias", sorted(METHOD_ALIASES))
+def test_is_causal_holds_for_every_alias_spelling(alias):
+    assert METHOD_ALIASES[alias] in CAUSAL_METHODS
+    for tag in _spellings(alias):
+        # Each spelling alone, then beside a non-causal tag, twice over so
+        # the second edge reads the cached normalisation.
+        for methods in [(tag,), tuple(sorted((tag, "OLS")))] * 2:
+            assert ClaimEdge("A1", "B2", methods=methods).is_causal, methods
+
+
+@pytest.mark.parametrize("tag", sorted(KNOWN_NONCAUSAL_METHODS))
+def test_is_causal_false_for_every_noncausal_spelling(tag):
+    for spelling in _spellings(tag):
+        assert not ClaimEdge("A1", "B2", methods=(spelling,)).is_causal
+        assert not ClaimEdge("A1", "B2", methods=[spelling, "theory"]).is_causal
+
+
+def test_is_causal_is_not_a_constructor_field():
+    edge = ClaimEdge("A1", "B2", methods=("IV",))
+    assert edge == ClaimEdge("A1", "B2", methods=("IV",))
+    assert "is_causal" not in repr(edge)
+    with pytest.raises(TypeError):
+        ClaimEdge("A1", "B2", methods=("IV",), is_causal=False)
 
 
 def test_unknown_method_tags_normalized():

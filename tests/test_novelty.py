@@ -112,6 +112,74 @@ def test_size_bounds_enforced():
         list(iter_subgraph_signatures(g, 1))
 
 
+def _reference_signature(nodes, edges):
+    """Minimal row-major adjacency bitstring over all orderings, built from
+    label pairs: the census' definition, written as a plain loop."""
+    k = len(nodes)
+    order = {node: idx for idx, node in enumerate(sorted(nodes))}
+    bits = [(order[u], order[v]) for u, v in edges if u in order and v in order]
+    best = None
+    for perm in itertools.permutations(range(k)):
+        pos = {orig: idx for idx, orig in enumerate(perm)}
+        cells = ["0"] * (k * k)
+        for i, j in bits:
+            cells[pos[i] * k + pos[j]] = "1"
+        candidate = "".join(cells)
+        if best is None or candidate < best:
+            best = candidate
+    return f"{k}:{best}"
+
+
+def _reference_census(graph, size):
+    """Induced-subgraph signatures by set membership over sorted labels."""
+    nodes = sorted(graph.nodes)
+    out = []
+    for combo in itertools.combinations(nodes, size):
+        sub = {(u, v) for u, v in graph.edges if u in combo and v in combo}
+        if sub:
+            out.append(_reference_signature(combo, sub))
+    return out
+
+
+def _masks(k, rng=None, n=None):
+    """Every k-node adjacency mask (self loops included), or n seeded ones."""
+    if rng is None:
+        return range(1 << (k * k))
+    return [rng.randrange(1 << (k * k)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("k, masks", [
+    (2, _masks(2)),
+    (3, _masks(3)),
+    (4, _masks(4, random.Random(77), 2500)),
+], ids=["2-all", "3-all", "4-sampled"])
+def test_bitmask_census_matches_signature_on_every_mask(k, masks):
+    rng = random.Random(k)
+    for mask in masks:
+        # Labels drawn at random, so sorted order is not draw order.
+        labels = rng.sample([f"{c}{d}" for c in "ABCDEFGH" for d in range(10)], k)
+        edges = {(labels[i], labels[j]) for i in range(k) for j in range(k)
+                 if mask >> (i * k + j) & 1}
+        graph = make_graph(edges, nodes=labels)
+        census = list(iter_subgraph_signatures(graph, k))
+        want = _reference_signature(labels, edges)
+        assert canonical_signature(labels, edges) == want, mask
+        assert census == ([want] if edges else []), mask
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_subgraph_census_matches_loop_reference(size):
+    rng = random.Random(900 + size)
+    for trial in range(40):
+        n = rng.randint(size, 9)
+        labels = rng.sample([f"{c}{d}" for c in "JKLMN" for d in range(20)], n)
+        edges = {(u, v) for u in labels for v in labels
+                 if u != v and rng.random() < rng.uniform(0.05, 0.5)}
+        graph = make_graph(edges, nodes=labels)
+        got = sorted(iter_subgraph_signatures(graph, size))
+        assert got == sorted(_reference_census(graph, size)), trial
+
+
 # --- frontier ledger -------------------------------------------------------
 
 

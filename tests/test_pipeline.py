@@ -487,14 +487,6 @@ def _late_corpus(tmp_path):
     return late
 
 
-def _bad_ledger(tmp_path):
-    ledger = _ledger(tmp_path)
-    text = ledger.read_text().replace("path_len=", "colour=blue\npath_len=")
-    ledger.write_text(text)
-    return ["novelty", "--corpus", str(_late_corpus(tmp_path)),
-            "--ledger-in", str(ledger)]
-
-
 def _bad_pair_table(tmp_path):
     table = tmp_path / "pairs.txt"
     table.write_text("#claimgraph-pairs v1\nthrough_year=2002\n"
@@ -508,29 +500,29 @@ def _unseen_code(tmp_path):
             "--code", "Z99"]
 
 
-def _bad_config_value(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"corpus={_late_corpus(tmp_path)}\ntau=five\n")
-    return ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+def _ledger_header(old, new):
+    """`novelty` resumed from a saved ledger with `old` in its text
+    replaced by `new`."""
+    def make(tmp_path):
+        ledger = _ledger(tmp_path)
+        ledger.write_text(ledger.read_text().replace(old, new))
+        return ["novelty", "--corpus", str(_late_corpus(tmp_path)),
+                "--ledger-in", str(ledger)]
+    return make
 
 
-def _subgraph_size_flag(tmp_path):
-    return ["novelty", "--corpus", str(_late_corpus(tmp_path)),
-            "--subgraph-size", "5"]
+def _novelty_flag(flag, value):
+    def make(tmp_path):
+        return ["novelty", "--corpus", str(_late_corpus(tmp_path)), flag, value]
+    return make
 
 
-def _subgraph_size_config(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"corpus={_late_corpus(tmp_path)}\nsubgraph_size=5\n")
-    return ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
-
-
-def _subgraph_size_ledger(tmp_path):
-    ledger = _ledger(tmp_path)
-    ledger.write_text(ledger.read_text().replace("subgraph_size=2",
-                                                 "subgraph_size=5"))
-    return ["novelty", "--corpus", str(_late_corpus(tmp_path)),
-            "--ledger-in", str(ledger)]
+def _config_value(key, value):
+    def make(tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus={_late_corpus(tmp_path)}\n{key}={value}\n")
+        return ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    return make
 
 
 def _regress_without_year(tmp_path):
@@ -559,21 +551,31 @@ def _flag_mismatch(flag, value):
 
 
 @pytest.mark.parametrize("make_argv, message", [
-    (_bad_ledger, "unknown ledger header 'colour'"),
+    (_ledger_header("path_len=", "colour=blue\npath_len="),
+     "unknown ledger header 'colour'"),
     (_bad_pair_table, "pairs.txt: not enough values to unpack"),
     (_unseen_code, "'Z99' never appears"),
-    (_bad_config_value, "line 2: tau must be int, got 'five'"),
+    (_config_value("tau", "five"), "line 2: tau must be int, got 'five'"),
     (_flag_mismatch("--path-len", "3"), "--path-len 3 does not match path_len=2"),
     (_flag_mismatch("--subgraph-size", "3"),
      "--subgraph-size 3 does not match subgraph_size=2"),
-    (_subgraph_size_flag, "--subgraph-size must be 2..4, got 5"),
-    (_subgraph_size_config, "line 2: subgraph_size must be 2..4, got 5"),
-    (_subgraph_size_ledger, "frontier.txt: subgraph_size must be 2..4, got 5"),
+    (_novelty_flag("--subgraph-size", "5"), "--subgraph-size must be 2..4, got 5"),
+    (_config_value("subgraph_size", 5),
+     "line 2: subgraph_size must be 2..4, got 5"),
+    (_ledger_header("subgraph_size=2", "subgraph_size=5"),
+     "frontier.txt: subgraph_size must be 2..4, got 5"),
     (_regress_without_year, "noyear.csv: missing column 'year'"),
     (_regress_empty_year, "noyear.csv: paper 'p2': missing year"),
+    (_config_value("max_iter", 0), "line 2: max_iter must be >= 1, got 0"),
+    (_novelty_flag("--path-len", "0"), "--path-len must be >= 1, got 0"),
+    (_config_value("path_len", 0), "line 2: path_len must be >= 1, got 0"),
+    (_ledger_header("path_len=2", "path_len=0"),
+     "frontier.txt: path_len must be >= 1, got 0"),
 ], ids=["ledger-header", "pair-row", "unseen-code", "config-value", "path-len",
         "subgraph-size", "subgraph-size-flag", "subgraph-size-config",
-        "subgraph-size-ledger", "regress-no-year", "regress-empty-year"])
+        "subgraph-size-ledger", "regress-no-year", "regress-empty-year",
+        "max-iter-config", "path-len-flag", "path-len-config",
+        "path-len-ledger"])
 def test_cli_boundary_errors_are_one_line(tmp_path, make_argv, message):
     proc = run_cli(*make_argv(tmp_path), expect=1)
     assert proc.stderr.startswith("claimgraph: ")

@@ -199,6 +199,42 @@ def test_run_spec_no_usable_rows_raises():
                                       measure="prop_causal_edges"))
 
 
+def _reference_fit(rows, spec):
+    """`run_spec` as a loop over row dicts: pairwise-complete rows in input
+    order, handed to `ols_fit`."""
+    y, x, years = [], [], []
+    for row in rows:
+        if spec.outcome == "LogCitesPlus1":
+            cites = row.get("citations")
+            y_val = None if cites is None else math.log(float(cites) + 1.0)
+        else:
+            y_val = 1.0 if row.get("pub_tier") == spec.outcome else 0.0
+        x_val = row.get(spec.column)
+        if y_val is not None and x_val is not None:
+            y.append(y_val)
+            x.append(float(x_val))
+            years.append(int(row["year"]))
+    return ols_fit(np.array(y), np.array(x), np.array(years),
+                   fixed_effects=spec.fixed_effects, cluster=spec.cluster)
+
+
+def test_run_spec_passes_ols_fit_the_row_loop_arrays():
+    rows = measure_rows()
+    rng = random.Random(3)
+    for row in rows:
+        row["path_count"] = None if rng.random() < 0.2 else rng.randrange(50)
+    for outcome in ("LogCitesPlus1", "Top5"):
+        for measure in ("prop_causal_edges", "gap_prop_full", "path_count"):
+            for fe, cluster in ((True, "by_year"), (False, "none")):
+                spec = RegressionSpec(outcome=outcome, measure=measure,
+                                      fixed_effects=fe, cluster=cluster)
+                got = run_spec(rows, spec)
+                want = _reference_fit(rows, spec)
+                assert (got.alpha, got.beta, got.se_beta, got.n, got.r_squared) \
+                    == (want.alpha, want.beta, want.se_beta, want.n,
+                        want.r_squared), spec
+
+
 def test_spec_file_loading(tmp_path):
     path = tmp_path / "specs.csv"
     path.write_text(textwrap.dedent("""\
