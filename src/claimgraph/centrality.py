@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class CumulativeGraph:
     new nodes and edges only.
     """
 
-    view: str = "full"
     nodes: set[str] = field(default_factory=set)
     edges: set[tuple[str, str]] = field(default_factory=set)
     _names: list[str] = field(default_factory=list, init=False, repr=False,
@@ -159,8 +158,7 @@ def pagerank(graph: CumulativeGraph, damping: float = DEFAULT_DAMPING,
     return dict(zip(names, x.tolist()))
 
 
-@dataclass(frozen=True)
-class CentralityStats:
+class CentralityStats(NamedTuple):
     paper_id: str
     year: int
     view: str
@@ -195,12 +193,12 @@ def paper_centrality_stats(graph: PaperGraph,
                            mean_e, var_e, mean_p, var_p)
 
 
-def score_corpus(graphs: Sequence[PaperGraph], view: str = "full",
-                 damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL,
+def score_corpus(graphs: Sequence[PaperGraph], damping: float = DEFAULT_DAMPING,
+                 tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> list[CentralityStats]:
     """Centrality stats for every paper, each scored against the cumulative
     graph of strictly earlier years."""
-    cumulative = CumulativeGraph(view=view)
+    cumulative = CumulativeGraph()
     stats: list[CentralityStats] = []
     for _, batch in year_batches(graphs):
         eigen = eigenvector_centrality(cumulative, tol=tol, max_iter=max_iter)

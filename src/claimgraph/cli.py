@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
-from dataclasses import fields as dataclass_fields
 
 from . import centrality as centrality_mod
 from . import cooccurrence as cooccur_mod
@@ -23,13 +21,12 @@ from .embedding import (
     match_concept_all,
 )
 from .errors import ClaimGraphError, SchemaError, check_range
-from .graphs import ComplexityMeasures, build_graph, complexity_measures
+from .graphs import build_graph, complexity_measures
 from .ingest import (
-    load_outcome_table,
-    load_rank_table,
-    merge_outcomes,
+    merge_outcome_files,
     parse_corpus_file,
     serialize_corpus,
+    split_paths,
 )
 from .pipeline import (
     CENTRALITY_COLUMNS,
@@ -41,9 +38,8 @@ from .pipeline import (
     add_zscores,
     parse_config_file,
     run_pipeline,
-    run_regressions,
 )
-from .regression import load_spec_file
+from .regression import load_spec_file, run_regressions
 from .tableio import parse_float, parse_int, read_csv_dicts, write_rows
 from .trends import GROUPINGS, aggregate_trends
 
@@ -66,11 +62,11 @@ def _load_corpus(args) -> list:
     return records
 
 
-def _load_graphs(args) -> tuple[list, str, list]:
-    """The corpus, the --view it is scored in, and one graph per paper."""
+def _load_graphs(args) -> tuple[list, list]:
+    """The corpus and one graph per paper in its --view."""
     records = _load_corpus(args)
     view = "noncausal" if args.view == "non-causal" else args.view
-    return records, view, [build_graph(r, view) for r in records]
+    return records, [build_graph(r, view) for r in records]
 
 
 def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
@@ -91,32 +87,25 @@ def cmd_run(args) -> int:
 
 def cmd_ingest(args) -> int:
     records = _load_corpus(args)
-    if args.outcomes:
-        sources = [load_outcome_table(p, name=os.path.basename(p))
-                   for p in args.outcomes.split(",")]
-        ranks = load_rank_table(args.ranks) if args.ranks else {}
-        records = merge_outcomes(records, sources, ranks,
-                                 default_tier=args.default_tier)
+    outcomes = split_paths(args.outcomes)
+    if outcomes:
+        records = merge_outcome_files(records, outcomes, args.ranks,
+                                      args.default_tier)
     with _open_out(args.out) as fh:
         serialize_corpus(records, fh)
     return 0
 
 
 def cmd_measures(args) -> int:
-    records = _load_corpus(args)
-    # ComplexityMeasures lists its fields in the order of the header.
-    names = [f.name for f in dataclass_fields(ComplexityMeasures)]
-    rows = []
-    for record in records:
-        cm = complexity_measures(record, path_cap=args.path_cap)
-        rows.append([getattr(cm, name) for name in names])
+    rows = [complexity_measures(record, path_cap=args.path_cap)
+            for record in _load_corpus(args)]
     with _open_out(args.out) as fh:
         write_rows(fh, ["paper_id", "year", *COMPLEXITY_COLUMNS], rows)
     return 0
 
 
 def cmd_novelty(args) -> int:
-    records, _, graphs = _load_graphs(args)
+    records, graphs = _load_graphs(args)
     ledger = (novelty_mod.load_ledger_file(args.ledger_in) if args.ledger_in
               else novelty_mod.LedgerState())
     # A flag left out takes the ledger's value; a flag given must match it.
@@ -134,15 +123,14 @@ def cmd_novelty(args) -> int:
     scores, ledger = novelty_mod.score_corpus(graphs, ledger=ledger)
     if args.ledger_out:
         novelty_mod.save_ledger_file(ledger, args.ledger_out)
-    header = ["paper_id", "year", *NOVELTY_MEASURES]
-    rows = ([getattr(scores[r.paper_id], col) for col in header] for r in records)
     with _open_out(args.out) as fh:
-        write_rows(fh, header, rows)
+        write_rows(fh, ["paper_id", "year", *NOVELTY_MEASURES],
+                   (scores[r.paper_id] for r in records))
     return 0
 
 
 def cmd_gaps(args) -> int:
-    records, _, graphs = _load_graphs(args)
+    records, graphs = _load_graphs(args)
     table = (cooccur_mod.load_pair_table_file(args.table_in)
              if args.table_in else None)
     scores, table = cooccur_mod.score_corpus(graphs, tau=args.tau, table=table)
@@ -155,12 +143,11 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_centrality(args) -> int:
-    records, view, graphs = _load_graphs(args)
-    stats = centrality_mod.score_corpus(graphs, view=view, damping=args.damping)
+    records, graphs = _load_graphs(args)
+    stats = centrality_mod.score_corpus(graphs, damping=args.damping)
     by_id = {s.paper_id: s for s in stats}
-    rows = [{"paper_id": r.paper_id, "year": r.year, "view": args.view,
-             **{stat: getattr(by_id[r.paper_id], stat) for stat in CENTRALITY_STATS}}
-            for r in records]
+    # The row names the view as the flag spells it.
+    rows = [{**by_id[r.paper_id]._asdict(), "view": args.view} for r in records]
     add_zscores(rows, CENTRALITY_STATS)
     with _open_out(args.out) as fh:
         write_rows(fh, CENTRALITY_COLUMNS,
@@ -169,7 +156,7 @@ def cmd_centrality(args) -> int:
 
 
 def cmd_node_series(args) -> int:
-    _, _, graphs = _load_graphs(args)
+    _, graphs = _load_graphs(args)
     try:
         series = centrality_mod.node_centrality_series(graphs, args.code)
     except ValueError as exc:  # a code the corpus never uses
@@ -213,8 +200,7 @@ def cmd_trends(args) -> int:
     records = _load_corpus(args)
     rows = aggregate_trends(records, group_by=args.group_by)
     with _open_out(args.out) as fh:
-        write_rows(fh, TREND_COLUMNS,
-                   ([getattr(t, c) for c in TREND_COLUMNS] for t in rows))
+        write_rows(fh, TREND_COLUMNS, rows)
     return 0
 
 

@@ -13,7 +13,7 @@ views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PathBudgetExceeded, YearOrderError
 from .model import PaperRecord
@@ -34,19 +34,6 @@ class PaperGraph:
     edges: set[tuple[str, str]] = field(default_factory=set)
     n_claims: int = 0
     n_selfloop_claims: int = 0
-
-    @property
-    def adjacency(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {node: [] for node in self.nodes}
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-        return adj
-
-    def sources(self) -> set[str]:
-        return {u for u, _ in self.edges}
-
-    def sinks(self) -> set[str]:
-        return {v for _, v in self.edges}
 
 
 def build_graph(record: PaperRecord, view: str = "full") -> PaperGraph:
@@ -103,7 +90,11 @@ def iter_simple_paths(graph: PaperGraph, max_len: int | None = None,
     cyclic graphs. Deterministic order: depth-first from each start node in
     code order. `cap` bounds the number of paths yielded.
     """
-    adj = graph.adjacency
+    # Built per walk rather than cached on the graph, which would keep one
+    # more dict alive per graph for a whole view.
+    adj: dict[str, list[str]] = {node: [] for node in graph.nodes}
+    for u, v in sorted(graph.edges):
+        adj[u].append(v)
     count = 0
     for start in sorted(graph.nodes):
         # Stack of (node, path-so-far); neighbors pushed in reverse so the
@@ -136,7 +127,9 @@ def count_paths(graph: PaperGraph, cap: int = DEFAULT_PATH_CAP) -> tuple[int, in
 def source_sink_ratio(graph: PaperGraph, epsilon: float = 1e-9) -> float:
     """Nodes with out-edges over nodes with in-edges, denominator padded by
     epsilon. An edgeless graph scores 0."""
-    return len(graph.sources()) / (len(graph.sinks()) + epsilon)
+    sources = {u for u, _ in graph.edges}
+    sinks = {v for _, v in graph.edges}
+    return len(sources) / (len(sinks) + epsilon)
 
 
 def path_measures(graph: PaperGraph, path_cap: int,
@@ -146,8 +139,9 @@ def path_measures(graph: PaperGraph, path_cap: int,
     return n_paths, longest, source_sink_ratio(graph, epsilon)
 
 
-@dataclass(frozen=True)
-class ComplexityMeasures:
+class ComplexityMeasures(NamedTuple):
+    """One `measures` row, its fields in the order of the header's columns."""
+
     paper_id: str
     year: int
     num_edges: int

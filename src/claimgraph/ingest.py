@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from dataclasses import dataclass, replace, field
 from typing import Iterable, Sequence, TextIO
 
@@ -201,11 +202,6 @@ def serialize_corpus(records: Sequence[PaperRecord], fh: TextIO) -> None:
         fh.write("\n")
 
 
-def serialize_corpus_file(records: Sequence[PaperRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        serialize_corpus(records, fh)
-
-
 @dataclass
 class OutcomeTable:
     """One prioritized outcome source: paper_id (or title) -> journal/citations."""
@@ -318,3 +314,18 @@ def merge_outcomes(records: Sequence[PaperRecord],
             outcome_source=tier_source,
         ))
     return merged
+
+
+def split_paths(value: str) -> list[str]:
+    """A comma-separated list of paths, each stripped, empty entries dropped."""
+    return [p.strip() for p in value.split(",") if p.strip()]
+
+
+def merge_outcome_files(records: Sequence[PaperRecord], outcome_paths: Sequence[str],
+                        ranks_path: str = "",
+                        default_tier: str = "Unpublished") -> list[PaperRecord]:
+    """`merge_outcomes` from outcome tables on disk, highest priority first
+    and each named by its basename, with an optional rank table."""
+    sources = [load_outcome_table(p, name=os.path.basename(p)) for p in outcome_paths]
+    ranks = load_rank_table(ranks_path) if ranks_path else {}
+    return merge_outcomes(records, sources, ranks, default_tier=default_tier)

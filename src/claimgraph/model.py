@@ -96,7 +96,6 @@ KNOWN_NONCAUSAL_METHODS = frozenset(
 )
 
 
-@lru_cache(maxsize=4096)
 def normalize_method_tag(tag: str) -> str:
     """Trim, uppercase, collapse inner whitespace, and resolve aliases."""
     tag = re.sub(r"\s+", " ", tag.strip().upper())

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .errors import SchemaError, SubsetBudgetExceeded, check_range
 from .graphs import PaperGraph, batch_year, iter_simple_paths, year_batches
@@ -32,12 +32,9 @@ LEDGER_MAGIC = "#claimgraph-frontier v1"
 
 
 def path_key(path: tuple[str, ...]) -> str:
-    """Canonical string for a node sequence, e.g. 'D31->J62->J13'."""
+    """Canonical string for a node sequence, e.g. 'D31->J62->J13'; an edge
+    is a 2-node sequence."""
     return "->".join(path)
-
-
-def edge_key(edge: tuple[str, str]) -> str:
-    return f"{edge[0]}->{edge[1]}"
 
 
 @lru_cache(maxsize=65536)
@@ -115,8 +112,7 @@ def iter_subgraph_signatures(graph: PaperGraph, size: int,
             yield _signature_from_mask(size, mask)
 
 
-@dataclass(frozen=True)
-class NoveltyMeasures:
+class NoveltyMeasures(NamedTuple):
     paper_id: str
     year: int
     num_novel_edges: int
@@ -141,7 +137,7 @@ class LedgerState:
 
 
 def _paper_structures(graph: PaperGraph, ledger: LedgerState):
-    edges = {edge_key(e) for e in graph.edges}
+    edges = {path_key(e) for e in graph.edges}
     paths = {path_key(p) for p in iter_simple_paths(graph, max_len=ledger.path_len)}
     # Signatures stay a list: every induced subgraph instance is scored, even
     # when two subsets of one paper share a signature.

@@ -13,46 +13,35 @@ import hashlib
 import os
 from dataclasses import dataclass, field, fields as dataclass_fields
 
+from . import __version__
 from . import centrality as centrality_mod
 from . import cooccurrence as cooccur_mod
 from . import novelty as novelty_mod
-from .errors import ClaimGraphError, CollinearityError, SchemaError, check_range
+from .errors import ClaimGraphError, SchemaError, check_range
 from .graphs import DEFAULT_PATH_CAP, VIEWS, build_graph, path_measures
 from .ingest import (
     DEFAULT_MAX_YEAR,
     DEFAULT_MIN_YEAR,
     Diagnostic,
-    load_outcome_table,
-    load_rank_table,
-    merge_outcomes,
+    merge_outcome_files,
     parse_corpus_file,
+    split_paths,
 )
 from .model import PaperRecord
-from .regression import (
-    OUTCOMES,
-    RegressionSpec,
-    _Columns,
-    _fit_spec,
-    _outcome_values,
-    load_spec_file,
-)
+from .regression import OUTCOMES, RegressionSpec, load_spec_file, run_regressions
 from .tableio import write_csv, write_csv_dicts
-from .trends import aggregate_trends
-
-__version__ = "0.1.0"
+from .trends import TrendRow, aggregate_trends
 
 NOVELTY_VIEWS = ("full", "causal")
 GAP_VIEWS = ("full", "causal")
 CENTRALITY_VIEWS = VIEWS
 
 # Column registry for `run` and the subcommands. Per-view columns are named
-# <measure>_<view>; NOVELTY_MEASURES and CENTRALITY_STATS are also the field
-# names of NoveltyMeasures and CentralityStats.
+# <measure>_<view>. The result types' fields name their measures, which
+# follow the paper_id, year (and view) fields.
 PATH_MEASURES = ("num_unique_paths", "longest_path", "source_sink")
-NOVELTY_MEASURES = ("num_novel_edges", "prop_novel_edges",
-                    "num_novel_paths", "prop_novel_paths",
-                    "num_novel_subgraphs", "prop_novel_subgraphs")
-CENTRALITY_STATS = ("mean_eigen", "var_eigen", "mean_pagerank", "var_pagerank")
+NOVELTY_MEASURES = novelty_mod.NoveltyMeasures._fields[2:]
+CENTRALITY_STATS = centrality_mod.CentralityStats._fields[3:]
 Z_STATS = tuple(f"z_{stat}" for stat in CENTRALITY_STATS)
 
 
@@ -69,7 +58,7 @@ CENTRALITY_COLUMNS: list[str] = ["paper_id", "year", "view",
 REGRESSION_COLUMNS: list[str] = ["outcome", "measure", "view", "fe", "cluster",
                                  "alpha", "beta", "se_beta", "n", "r_squared",
                                  "error"]
-TREND_COLUMNS: list[str] = ["group", "metric", "value", "n", "ci95"]
+TREND_COLUMNS = TrendRow._fields
 
 DEFAULT_BATTERY_MEASURES = (
     "prop_causal_edges",
@@ -137,8 +126,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
         if not sep or key not in types:
             raise SchemaError(f"bad config line {raw!r}", line_no=line_no)
         if key == "outcomes":
-            config.outcomes = [os.path.join(base_dir, p.strip())
-                               for p in value.split(",") if p.strip()]
+            config.outcomes = [os.path.join(base_dir, p) for p in split_paths(value)]
         elif key in _INPUT_KEYS:
             setattr(config, key, os.path.join(base_dir, value) if value else "")
         else:
@@ -185,12 +173,12 @@ def _record_row(record: PaperRecord) -> dict:
 
 
 def _fill(by_id: dict[str, dict], results, measures, view: str) -> None:
-    """Copy each result's `measures` attributes into its paper's row."""
-    pairs = list(zip(_per_view(measures, (view,)), measures))
+    """Copy each result's `measures`, the last fields of its tuple, into its
+    paper's row."""
+    cols = _per_view(measures, (view,))
+    first = -len(measures)
     for result in results:
-        row = by_id[result.paper_id]
-        for col, name in pairs:
-            row[col] = getattr(result, name)
+        by_id[result.paper_id].update(zip(cols, result[first:]))
 
 
 def _score_view(records: list[PaperRecord], rows: list[dict],
@@ -215,8 +203,7 @@ def _score_view(records: list[PaperRecord], rows: list[dict],
         for paper_id, value in gaps.items():
             by_id[paper_id][col] = value
     stats = centrality_mod.score_corpus(
-        graphs, view=view, damping=config.damping,
-        tol=config.tol, max_iter=config.max_iter)
+        graphs, damping=config.damping, tol=config.tol, max_iter=config.max_iter)
     _fill(by_id, stats, CENTRALITY_STATS, view)
 
 
@@ -250,36 +237,6 @@ def default_battery() -> list[RegressionSpec]:
             specs.append(RegressionSpec(outcome=outcome, measure=measure,
                                         fixed_effects=False, cluster="none"))
     return specs
-
-
-def run_regressions(rows: list[dict], specs: list[RegressionSpec],
-                    keep_errors: bool = True) -> list[dict]:
-    """Run specs in order; with keep_errors, inestimable specs become rows
-    with an error note instead of aborting the run. The years, each
-    outcome and each measure column are built once per call."""
-    out: list[dict] = []
-    table = _Columns(rows)
-    outcomes: dict[str, tuple] = {}
-    for spec in specs:
-        base = {
-            "outcome": spec.outcome, "measure": spec.measure,
-            "view": spec.view, "fe": int(spec.fixed_effects),
-            "cluster": spec.cluster,
-        }
-        if spec.outcome not in outcomes:
-            outcomes[spec.outcome] = _outcome_values(rows, spec.outcome)
-        try:
-            res = _fit_spec(table, spec, outcomes[spec.outcome])
-        except (CollinearityError, SchemaError) as exc:
-            if not keep_errors:
-                raise
-            base.update(alpha=None, beta=None, se_beta=None, n=None,
-                        r_squared=None, error=str(exc))
-        else:
-            base.update(alpha=res.alpha, beta=res.beta, se_beta=res.se_beta,
-                        n=res.n, r_squared=res.r_squared, error=None)
-        out.append(base)
-    return out
 
 
 def _sha256(path: str) -> str:
@@ -330,11 +287,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineRun:
 
     if config.outcomes:
         try:
-            sources = [load_outcome_table(p, name=os.path.basename(p))
-                       for p in config.outcomes]
-            ranks = load_rank_table(config.ranks) if config.ranks else {}
-            records = merge_outcomes(records, sources, ranks,
-                                     default_tier=config.default_tier)
+            records = merge_outcome_files(records, config.outcomes, config.ranks,
+                                          config.default_tier)
         except ClaimGraphError as exc:
             raise PipelineStageError("merge-outcomes", exc) from exc
 
@@ -372,8 +326,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineRun:
                     REGRESSION_COLUMNS, reg_rows)
 
     trend_rows = aggregate_trends(records, group_by="year")
-    write_csv(os.path.join(out_dir, "trends_year.csv"), TREND_COLUMNS,
-              ([getattr(t, c) for c in TREND_COLUMNS] for t in trend_rows))
+    write_csv(os.path.join(out_dir, "trends_year.csv"), TREND_COLUMNS, trend_rows)
 
     with open(os.path.join(out_dir, "diagnostics.txt"), "w",
               encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import CollinearityError, SchemaError
 
 OUTCOMES = ("Top5", "Top6to20", "Top21to100", "LogCitesPlus1")
 
-TIER_OUTCOMES = {"Top5": "Top5", "Top6to20": "Top6to20", "Top21to100": "Top21to100"}
+TIER_OUTCOMES = OUTCOMES[:3]
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,10 @@ def ols_fit(y: np.ndarray, x: np.ndarray, years: np.ndarray,
             "regressor constant within years" if fixed_effects
             else "regressor has zero variance")
     beta = float(x_t @ y_t) / sxx
-    resid = y_t - beta * x_t
-    if fixed_effects:
-        # Year effects absorbed; fitted values rebuilt from year means.
-        fitted = y - resid
-        alpha = float(y.mean() - beta * x.mean())
-    else:
-        alpha = float(y.mean() - beta * x.mean())
-        fitted = alpha + beta * x
-        resid = y - fitted
+    alpha = float(y.mean() - beta * x.mean())
+    # With fixed effects the year effects are absorbed, so the residuals
+    # of the demeaned data are the model's.
+    resid = y_t - beta * x_t if fixed_effects else y - (alpha + beta * x)
     sst = float(((y - y.mean()) ** 2).sum())
     ssr = float((resid ** 2).sum())
     r_squared = 1.0 - ssr / sst if sst > 0 else 0.0
@@ -157,19 +152,25 @@ def _column(values: list) -> Column:
 
 
 class _Columns:
-    """A measures table read by column: the years once, each measure column
-    once, on first use. Lives for one battery, so rows may change between
-    calls."""
+    """A measures table read by column: the years once, each outcome and
+    each measure column once, on first use. Lives for one battery, so rows
+    may change between calls."""
 
     def __init__(self, rows: list[dict]):
         self.rows = rows
         self.years = np.array([int(row["year"]) for row in rows])
-        self._built: dict[str, Column] = {}
+        self._measures: dict[str, Column] = {}
+        self._outcomes: dict[str, Column] = {}
 
-    def __getitem__(self, key: str) -> Column:
-        if key not in self._built:
-            self._built[key] = _column([row.get(key) for row in self.rows])
-        return self._built[key]
+    def measure(self, key: str) -> Column:
+        if key not in self._measures:
+            self._measures[key] = _column([row.get(key) for row in self.rows])
+        return self._measures[key]
+
+    def outcome(self, name: str) -> Column:
+        if name not in self._outcomes:
+            self._outcomes[name] = _outcome_values(self.rows, name)
+        return self._outcomes[name]
 
 
 def _outcome_values(rows: list[dict], outcome: str) -> Column:
@@ -177,8 +178,7 @@ def _outcome_values(rows: list[dict], outcome: str) -> Column:
     values: list[float | None] = []
     if outcome in TIER_OUTCOMES:
         for row in rows:
-            tier = row.get("pub_tier")
-            values.append(1.0 if tier == TIER_OUTCOMES[outcome] else 0.0)
+            values.append(1.0 if row.get("pub_tier") == outcome else 0.0)
     elif outcome == "LogCitesPlus1":
         for row in rows:
             cites = row.get("citations")
@@ -195,29 +195,49 @@ def run_spec(rows: list[dict], spec: RegressionSpec) -> RegressionResult:
     when the outcome is underivable or the regressor is collinear with the
     fixed effects.
     """
-    return _fit_spec(_Columns(rows), spec, _outcome_values(rows, spec.outcome))
+    return _fit_spec(_Columns(rows), spec)
 
 
-def _fit_spec(table: _Columns, spec: RegressionSpec,
-              outcome: Column) -> RegressionResult:
-    """`run_spec` on columns already built by `_Columns` and
-    `_outcome_values`."""
-    y, y_defined = outcome
+def _fit_spec(table: _Columns, spec: RegressionSpec) -> RegressionResult:
+    """`run_spec` on a table whose columns may already be built."""
+    y, y_defined = table.outcome(spec.outcome)
     if not y_defined.any():
         raise SchemaError(f"outcome {spec.outcome} underivable: no defined values")
     column = spec.column
-    x, x_defined = table[column]
+    x, x_defined = table.measure(column)
     usable = y_defined & x_defined
     if not usable.any():
         raise SchemaError(f"no usable rows for {spec.outcome} ~ {column}")
     result = ols_fit(y[usable], x[usable], table.years[usable],
                      fixed_effects=spec.fixed_effects, cluster=spec.cluster)
-    return RegressionResult(
-        outcome=spec.outcome, measure=column, alpha=result.alpha,
-        beta=result.beta, se_beta=result.se_beta, n=result.n,
-        r_squared=result.r_squared, n_params=result.n_params,
-        fixed_effects=result.fixed_effects, cluster=result.cluster,
-    )
+    return replace(result, outcome=spec.outcome, measure=column)
+
+
+def run_regressions(rows: list[dict], specs: list[RegressionSpec],
+                    keep_errors: bool = True) -> list[dict]:
+    """Run specs in order; with keep_errors, inestimable specs become rows
+    with an error note instead of aborting the run. The years, each
+    outcome and each measure column are built once per call."""
+    out: list[dict] = []
+    table = _Columns(rows)
+    for spec in specs:
+        base = {
+            "outcome": spec.outcome, "measure": spec.measure,
+            "view": spec.view, "fe": int(spec.fixed_effects),
+            "cluster": spec.cluster,
+        }
+        try:
+            res = _fit_spec(table, spec)
+        except (CollinearityError, SchemaError) as exc:
+            if not keep_errors:
+                raise
+            base.update(alpha=None, beta=None, se_beta=None, n=None,
+                        r_squared=None, error=str(exc))
+        else:
+            base.update(alpha=res.alpha, beta=res.beta, se_beta=res.se_beta,
+                        n=res.n, r_squared=res.r_squared, error=None)
+        out.append(base)
+    return out
 
 
 def load_spec_file(path: str) -> list[RegressionSpec]:

@@ -14,18 +14,8 @@ import os
 from typing import Iterable, Iterator, Sequence, TextIO
 
 
-def format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-# `format_cell` by exact type, for the types tables hold; subclasses such
-# as numpy floats fall back to `format_cell` itself.
+# Cell formatters by exact type, for the types tables hold; any other type,
+# numpy scalars included, is written with `str`.
 _FORMATTERS = {
     type(None): lambda value: "",
     bool: lambda value: "1" if value else "0",
@@ -35,12 +25,16 @@ _FORMATTERS = {
 }
 
 
+def format_cell(value) -> str:
+    return _FORMATTERS.get(type(value), str)(value)
+
+
 def write_rows(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(header)
     formatter = _FORMATTERS.get
     for row in rows:
-        writer.writerow([formatter(type(v), format_cell)(v) for v in row])
+        writer.writerow([formatter(type(v), str)(v) for v in row])
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],

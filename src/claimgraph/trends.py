@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import PaperRecord
 
@@ -14,8 +13,7 @@ log = logging.getLogger(__name__)
 GROUPINGS = ("year", "field", "year_field", "method")
 
 
-@dataclass(frozen=True)
-class TrendRow:
+class TrendRow(NamedTuple):
     group: str
     metric: str
     value: float

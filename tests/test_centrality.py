@@ -253,9 +253,9 @@ def test_causal_view_prior_graph_only_sees_causal_edges():
                             pool_size=10, max_claims=6, p_causal=0.5)
     full_graphs = [build_graph(r, "full") for r in records]
     causal_graphs = [build_graph(r, "causal") for r in records]
-    full_stats = {s.paper_id: s for s in score_corpus(full_graphs, view="full")}
+    full_stats = {s.paper_id: s for s in score_corpus(full_graphs)}
     causal_stats = {s.paper_id: s
-                    for s in score_corpus(causal_graphs, view="causal")}
+                    for s in score_corpus(causal_graphs)}
     assert set(full_stats) == set(causal_stats)
     # causal cumulative graphs are subgraphs, so means cannot be identical
     # across the board unless every claim is causal (vanishingly unlikely)

@@ -202,7 +202,7 @@ def test_run_regressions_keep_errors_collects_notes():
 
 
 def test_run_regressions_builds_each_outcome_once(monkeypatch):
-    import claimgraph.pipeline as pipeline_mod
+    import claimgraph.regression as regression_mod
     from claimgraph.regression import _outcome_values, run_spec
 
     records = random_corpus(5, n_papers=120, year_lo=2000, year_hi=2005,
@@ -217,7 +217,7 @@ def test_run_regressions_builds_each_outcome_once(monkeypatch):
         built.append(outcome)
         return _outcome_values(rows, outcome)
 
-    monkeypatch.setattr(pipeline_mod, "_outcome_values", counting)
+    monkeypatch.setattr(regression_mod, "_outcome_values", counting)
     specs = default_battery()
     got = run_regressions(rows, specs)
     assert sorted(built) == sorted({spec.outcome for spec in specs})
@@ -381,6 +381,23 @@ def test_cli_ingest_merges_and_serializes(tmp_path, landmark_path):
     assert merged["mobility14"]["citations"] == 11
 
 
+def test_cli_ingest_splits_outcomes_like_the_config(tmp_path, landmark_path):
+    # The README's config example puts a space after the comma.
+    first = tmp_path / "a.csv"
+    first.write_text("paper_id,journal,citations\nmobility14,aer,11\n")
+    second = tmp_path / "b.csv"
+    second.write_text("paper_id,journal,citations\ncredit15,qje,4\n")
+    ranks = tmp_path / "r.csv"
+    ranks.write_text("journal,tier\naer,Top5\nqje,Top5\n")
+    proc = run_cli("ingest", "--corpus", landmark_path,
+                   "--outcomes", f"{first}, {second}", "--ranks", str(ranks))
+    merged = {d["paper_id"]: d for d in map(json.loads, proc.stdout.splitlines())}
+    assert merged["mobility14"]["outcome_source"] == "a.csv"
+    assert merged["credit15"]["outcome_source"] == "b.csv"
+    config = parse_config_text(f"corpus=c.jsonl\noutcomes = {first}, {second}\n")
+    assert config.outcomes == [str(first), str(second)]
+
+
 # --- one build per view, one z-scoring, one column registry ------------------
 
 
@@ -452,6 +469,28 @@ def test_cli_centrality_matches_run_centrality_csv(synth_run):
     assert proc.stdout.splitlines() == (
         run_lines[:1] + [ln for ln in run_lines[1:] if ln.split(",")[2] == "full"])
     assert len(run_lines) == 1 + 3 * len(records)
+
+
+@pytest.mark.parametrize("argv, run_file, suffix", [
+    (["novelty", "--view", "full"], "novelty.csv", "_full"),
+    (["novelty", "--view", "causal"], "novelty.csv", "_causal"),
+    (["gaps", "--view", "full"], "gaps.csv", "_full"),
+    (["gaps", "--view", "causal"], "gaps.csv", "_causal"),
+    (["trends", "--group-by", "year"], "trends_year.csv", ""),
+], ids=["novelty-full", "novelty-causal", "gaps-full", "gaps-causal",
+        "trends-year"])
+def test_cli_subcommand_matches_run_csv(synth_run, argv, run_file, suffix):
+    _, config, tmp_path = synth_run
+    out = tmp_path / "out"
+    run_pipeline(config, str(out))
+    cli_out = tmp_path / "sub.csv"
+    run_cli(argv[0], "--corpus", config.corpus, *argv[1:], "--out", str(cli_out))
+    cli_rows = read_csv_dicts(str(cli_out))
+    run_rows = read_csv_dicts(str(out / run_file))
+    run_col = {col: col if col in ("paper_id", "year") else col + suffix
+               for col in cli_rows[0]}
+    assert len(cli_rows[0]) > 2
+    assert cli_rows == [{col: r[run_col[col]] for col in run_col} for r in run_rows]
 
 
 def test_cli_measures_matches_run_measures_csv(synth_run):
