@@ -9,16 +9,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 
 from . import centrality as centrality_mod
 from . import cooccurrence as cooccur_mod
 from . import novelty as novelty_mod
 from .embedding import (
+    ENV_REMOTE_URL,
+    EmbeddingIndex,
     fetch_remote_embeddings,
     load_embedding_table,
     match_concept,
     match_concept_all,
+    remote_provider_configured,
 )
 from .errors import ClaimGraphError, SchemaError, check_range
 from .graphs import build_graph, complexity_measures
@@ -205,18 +209,24 @@ def cmd_trends(args) -> int:
 
 
 def cmd_match(args) -> int:
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise SchemaError(f"--threshold must be finite, got {args.threshold}")
+    if args.remote_texts and not remote_provider_configured():
+        raise ClaimGraphError(f"--remote-texts needs {ENV_REMOTE_URL} set")
     index = load_embedding_table(args.index)
-    queries: list[tuple[str, list[float]]] = []
     if args.remote_texts:
         with open(args.queries, encoding="utf-8") as fh:
             texts = [line.rstrip("\n") for line in fh if line.strip()]
+        if not texts:
+            raise SchemaError(f"{args.queries}: no query texts")
         vectors = fetch_remote_embeddings(texts)
-        queries = [(f"q{i}", vec) for i, vec in enumerate(vectors, start=1)]
+        table = EmbeddingIndex.from_rows(
+            [(f"q{i}", vec) for i, vec in enumerate(vectors, start=1)],
+            source="remote provider")
     else:
         table = load_embedding_table(args.queries)
-        queries = list(zip(table.ids, table.vectors))
     rows = []
-    for query_id, vec in queries:
+    for query_id, vec in zip(table.ids, table.matrix):
         if args.threshold is not None:
             for rank, m in enumerate(
                     match_concept_all(vec, index, args.threshold, query_id),

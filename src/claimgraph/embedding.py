@@ -12,61 +12,126 @@ import json
 import math
 import os
 import urllib.request
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import SchemaError
 
 ENV_REMOTE_URL = "CLAIMGRAPH_EMBED_URL"
 ENV_REMOTE_TOKEN = "CLAIMGRAPH_EMBED_TOKEN"
 
+# Rows whose norm lies outside [2**-450, 2**450], or every row when the
+# query's norm does, skip pruning and are always scored exactly: inside the
+# range no square, product, dot product or norm product can underflow or
+# overflow, which the margin below assumes.
+_NORM_RANGE = (2.0 ** -450, 2.0 ** 450)
+
 
 @dataclass
 class EmbeddingIndex:
-    """Embedding vectors for candidate concept codes, fixed dimension."""
+    """Embedding vectors for candidate concept codes: one n x d float64
+    matrix and each row's norm, computed once as `cosine_similarity` does."""
 
-    dim: int
     ids: list[str]
-    vectors: list[list[float]]
+    matrix: np.ndarray
+    norms: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     @classmethod
-    def from_rows(cls, rows: list[tuple[str, list[float]]]) -> "EmbeddingIndex":
-        if not rows:
-            raise SchemaError("embedding index is empty")
-        dim = len(rows[0][1])
-        if dim == 0:
-            raise SchemaError("embedding vectors must be non-empty")
-        seen: set[str] = set()
-        ids: list[str] = []
-        vectors: list[list[float]] = []
-        for entry_id, vec in rows:
-            if entry_id in seen:
-                raise SchemaError(f"duplicate embedding id {entry_id!r}")
-            if len(vec) != dim:
-                raise SchemaError(
-                    f"dimension mismatch for {entry_id!r}: {len(vec)} != {dim}")
-            seen.add(entry_id)
-            ids.append(entry_id)
-            vectors.append([float(v) for v in vec])
-        return cls(dim=dim, ids=ids, vectors=vectors)
+    def from_rows(cls, rows: list[tuple[str, list[float]]],
+                  source: str = "embeddings") -> "EmbeddingIndex":
+        """Index of (id, vector) rows; errors name `source` and the id."""
+        return _build(((entry_id, vec, None) for entry_id, vec in rows), source)
+
+
+def _vector_norm(vec: np.ndarray) -> float:
+    """Norm as `cosine_similarity` computes it: the exact sum of the rounded
+    squares, or inf when that sum overflows."""
+    with np.errstate(over="ignore"):
+        squares = (vec * vec).tolist()
+    try:
+        return math.sqrt(math.fsum(squares))
+    except OverflowError:
+        return math.inf
+
+
+def _defect(vec: np.ndarray, norm: float) -> str | None:
+    """Why `vec` has no cosine similarity, or None."""
+    if not np.isfinite(vec).all():
+        return "non-finite value"
+    if norm == 0.0:
+        return "zero vector"
+    if math.isinf(norm):
+        return "norm overflows"
+    return None
+
+
+def _build(rows: Iterable[tuple[str, Iterable[float], int | None]],
+           source: str) -> EmbeddingIndex:
+    """Parse (id, values, line number) rows straight into one matrix."""
+    ids: list[str] = []
+    line_nos: list[int | None] = []
+    seen: set[str] = set()
+    values = array("d")
+    dim = 0
+    for entry_id, vec, line_no in rows:
+        start = len(values)
+        values.extend(vec)
+        width = len(values) - start
+        if not ids:
+            dim = width
+            if dim == 0:
+                raise SchemaError(f"{source}: embedding vectors must be non-empty",
+                                  line_no=line_no)
+        elif width != dim:
+            raise SchemaError(f"{source}: dimension mismatch for {entry_id!r}: "
+                              f"{width} != {dim}", line_no=line_no)
+        if entry_id in seen:
+            raise SchemaError(f"{source}: duplicate embedding id {entry_id!r}",
+                              line_no=line_no)
+        seen.add(entry_id)
+        ids.append(entry_id)
+        line_nos.append(line_no)
+    if not ids:
+        raise SchemaError(f"{source}: no embedding vectors")
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
+    norms = np.empty(len(ids))
+    for k, row in enumerate(matrix):
+        norms[k] = _vector_norm(row)
+        problem = _defect(row, norms[k])
+        if problem is not None:
+            raise SchemaError(f"{source}: {problem} for {ids[k]!r}",
+                              line_no=line_nos[k])
+    return EmbeddingIndex(ids=ids, matrix=matrix, norms=norms)
 
 
 def load_embedding_table(path: str, delimiter: str = ",") -> EmbeddingIndex:
-    """Load an id,v1,...,vD table; every row must share one dimension."""
-    rows: list[tuple[str, list[float]]] = []
+    """Load an id,v1,...,vD table; every row must share one dimension and be
+    finite and non-zero."""
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(delimiter)
-            if len(parts) < 2:
-                raise SchemaError("embedding row needs id and values", line_no=line_no)
-            try:
-                vec = [float(p) for p in parts[1:]]
-            except ValueError as exc:
-                raise SchemaError(str(exc), line_no=line_no) from None
-            rows.append((parts[0].strip(), vec))
-    return EmbeddingIndex.from_rows(rows)
+        return _build(_table_rows(fh, path, delimiter), path)
+
+
+def _table_rows(lines: Iterable[str], path: str, delimiter: str):
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(delimiter)
+        if len(parts) < 2:
+            raise SchemaError(f"{path}: embedding row needs id and values",
+                              line_no=line_no)
+        try:
+            vec = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise SchemaError(f"{path}: {exc}", line_no=line_no) from None
+        yield parts[0].strip(), vec, line_no
 
 
 def _dot(a: list[float], b: list[float]) -> float:
@@ -79,11 +144,16 @@ def _norm(a: list[float]) -> float:
     return math.sqrt(math.fsum(x * x for x in a))
 
 
+def _cosine(dot: float, norm_a: float, norm_b: float) -> float:
+    return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
+
+
 def cosine_similarity(a: list[float], b: list[float]) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1].
 
     Invariant under positive rescaling of either argument. Zero vectors are
-    rejected rather than given an arbitrary score.
+    rejected rather than given an arbitrary score. This is the reference the
+    matchers below reproduce bit for bit.
     """
     if len(a) != len(b):
         raise SchemaError(f"dimension mismatch: {len(a)} != {len(b)}")
@@ -91,7 +161,7 @@ def cosine_similarity(a: list[float], b: list[float]) -> float:
     norm_b = _norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cosine similarity undefined for zero vectors")
-    return max(-1.0, min(1.0, _dot(a, b) / (norm_a * norm_b)))
+    return _cosine(_dot(a, b), norm_a, norm_b)
 
 
 @dataclass(frozen=True)
@@ -101,6 +171,52 @@ class Match:
     score: float
 
 
+class _Scorer:
+    """One query against an index. Every score it returns is the exact
+    `cosine_similarity` of the pair; the BLAS pass only picks which rows to
+    score.
+
+    Margin on |approximate - exact| cosine, for finite rows and query with
+    norms in `_NORM_RANGE`, u = 2**-53 (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., section 3.1):
+    - `matrix @ q` sums d products in any order, with or without FMA, within
+      gamma_d * sum|x_i y_i| <= gamma_d * |x||y| of the true dot product,
+      gamma_d = d*u / (1 - d*u).
+    - The exact score's fsum of the rounded products is within 2u * |x||y|.
+    - Both divide by the same rounded norm product, within (1 + 5u) of
+      |x||y|, and each division rounds once more, by u at most.
+    So the two cosines differ by at most (d + 4)*u plus second-order terms;
+    four times that covers those. Clamping to [-1, 1] only narrows the gap.
+    """
+
+    def __init__(self, query, index: EmbeddingIndex, query_id: str):
+        q = np.asarray(query, dtype=np.float64)
+        if q.shape != (index.dim,):
+            raise SchemaError(f"query {query_id!r}: dimension mismatch: "
+                              f"{q.size} != {index.dim}")
+        norm = _vector_norm(q)
+        problem = _defect(q, norm)
+        if problem is not None:
+            raise SchemaError(f"query {query_id!r}: {problem}")
+        low, high = _NORM_RANGE
+        self.q, self.norm, self.index = q, norm, index
+        self.margin = 4 * (index.dim + 4) * 2.0 ** -53
+        self.covered = (index.norms >= low) & (index.norms <= high) \
+            & (low <= norm <= high)
+        with np.errstate(all="ignore"):
+            self.approx = np.clip(index.matrix @ q / (index.norms * norm), -1.0, 1.0)
+
+    def rows_at_least(self, floor: float) -> np.ndarray:
+        """Every row whose exact score may reach `floor`."""
+        return np.flatnonzero(~self.covered | (self.approx >= floor - self.margin))
+
+    def exact(self, k: int) -> float:
+        with np.errstate(over="ignore"):
+            products = (self.index.matrix[k] * self.q).tolist()
+        dot = math.fsum(products)
+        return _cosine(dot, self.norm, float(self.index.norms[k]))
+
+
 def match_concept(query: list[float], index: EmbeddingIndex,
                   query_id: str = "") -> Match:
     """Best-matching index entry for a query vector.
@@ -108,23 +224,23 @@ def match_concept(query: list[float], index: EmbeddingIndex,
     Exact score ties break to the lexicographically smallest id, so results
     are insensitive to index row order.
     """
-    best: tuple[float, str] | None = None
-    for entry_id, vec in zip(index.ids, index.vectors):
-        score = cosine_similarity(query, vec)
-        key = (-score, entry_id)
-        if best is None or key < (-best[0], best[1]):
-            best = (score, entry_id)
-    assert best is not None
-    return Match(query_id=query_id, code=best[1], score=best[0])
+    scorer = _Scorer(query, index, query_id)
+    # The covered row with the highest approximate score scores at least
+    # that minus the margin exactly, so no covered row below that minus a
+    # further margin can be best.
+    top = scorer.approx[scorer.covered].max(initial=-np.inf)
+    neg_score, code = min((-scorer.exact(k), index.ids[k])
+                          for k in scorer.rows_at_least(top - scorer.margin))
+    return Match(query_id=query_id, code=code, score=-neg_score)
 
 
 def match_concept_all(query: list[float], index: EmbeddingIndex,
                       threshold: float, query_id: str = "") -> list[Match]:
     """All index entries scoring at least `threshold`, best first; one-to-many
     mapping behind an explicit opt-in."""
-    matches = [Match(query_id=query_id, code=entry_id,
-                     score=cosine_similarity(query, vec))
-               for entry_id, vec in zip(index.ids, index.vectors)]
+    scorer = _Scorer(query, index, query_id)
+    matches = [Match(query_id=query_id, code=index.ids[k], score=scorer.exact(k))
+               for k in scorer.rows_at_least(threshold)]
     kept = [m for m in matches if m.score >= threshold]
     kept.sort(key=lambda m: (-m.score, m.code))
     return kept

@@ -2,6 +2,7 @@ import http.server
 import json
 import math
 import random
+import re
 import socket
 import threading
 
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from claimgraph import cli
 from claimgraph.embedding import (
     EmbeddingIndex,
+    Match,
+    _Scorer,
     cosine_similarity,
     fetch_remote_embeddings,
     load_embedding_table,
@@ -124,6 +128,143 @@ def test_load_embedding_table(tmp_path):
     index = load_embedding_table(str(path))
     assert index.dim == 2
     assert match_concept([0.9, 0.1], index).code == "A1"
+
+
+# --- pruned matching equals the exhaustive exact reference ----------------
+
+
+def reference_best(query, rows, query_id=""):
+    """The exhaustive pair loop over `cosine_similarity`."""
+    best = None
+    for entry_id, vec in rows:
+        score = cosine_similarity(query, vec)
+        if best is None or (-score, entry_id) < (-best[0], best[1]):
+            best = (score, entry_id)
+    return Match(query_id=query_id, code=best[1], score=best[0])
+
+
+def reference_all(query, rows, threshold, query_id=""):
+    matches = [Match(query_id, entry_id, cosine_similarity(query, vec))
+               for entry_id, vec in rows]
+    kept = [m for m in matches if m.score >= threshold]
+    kept.sort(key=lambda m: (-m.score, m.code))
+    return kept
+
+
+def bits(matches):
+    """Matches with each score as its exact bit pattern."""
+    return [(m.query_id, m.code, m.score.hex()) for m in matches]
+
+
+def assert_matches_reference(query, rows):
+    index = EmbeddingIndex.from_rows(rows)
+    assert bits([match_concept(query, index, "q")]) == \
+        bits([reference_best(query, rows, "q")])
+    scores = sorted({cosine_similarity(query, vec) for _, vec in rows})
+    cuts = {-1.0, 1.0, *scores}
+    for s in scores:
+        cuts.update((math.nextafter(s, -2.0), math.nextafter(s, 2.0)))
+    for t in sorted(cuts):
+        assert bits(match_concept_all(query, index, t, "q")) == \
+            bits(reference_all(query, rows, t, "q")), t
+
+
+# Powers of two that put a norm inside, at and beyond the bounds of the
+# range the pruning's error margin covers, 2**-450..2**450.
+NORM_EXPONENTS = [-500, -451, -450, -449, 0, 0, 0, 449, 450, 451, 500]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(1, 384),
+    n_base=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    variants=st.lists(st.tuples(
+        st.integers(0, 5),
+        st.sampled_from([1.0, 3.0, 1 + 2.0 ** -52, 1 - 2.0 ** -52]),
+        st.sampled_from(NORM_EXPONENTS)), max_size=8),
+    query_from=st.integers(-1, 5),
+    query_exponent=st.sampled_from(NORM_EXPONENTS),
+)
+def test_pruned_matching_equals_exhaustive_reference(
+        dim, n_base, seed, variants, query_from, query_exponent):
+    """Duplicates and rows scaled by 3 or by 1 +- 2**-52 make exact and
+    one-ulp ties; the thresholds sit at each exact score and one ulp either
+    side; norms near and past 2**+-450 take the always-exact path."""
+    rng = np.random.default_rng(seed)
+    base = [rng.standard_normal(dim) for _ in range(n_base)]
+    vectors = list(base)
+    for source, factor, exponent in variants:
+        vectors.append(base[source % n_base] * factor * 2.0 ** exponent)
+    rows = [(f"C{k:02d}", v.tolist()) for k, v in enumerate(vectors)]
+    rng.shuffle(rows)
+    if query_from < 0:
+        query = rng.standard_normal(dim)
+    else:
+        query = base[query_from % n_base] + 1e-9 * rng.standard_normal(dim)
+    assert_matches_reference((query * 2.0 ** query_exponent).tolist(), rows)
+
+
+def test_pruned_matching_on_near_duplicate_index():
+    """Many rows within a few ulps of each other and of the query: the
+    approximate scores straddle the exact ones, so a margin too small
+    drops true matches."""
+    rng = np.random.default_rng(8)
+    for dim in (3, 16, 64, 384):
+        anchor = rng.standard_normal(dim)
+        rows = []
+        for k in range(30):
+            nudge = 1 + rng.integers(-4, 5, size=dim) * 2.0 ** -52
+            rows.append((f"N{k:02d}", (anchor * nudge).tolist()))
+        for _ in range(5):
+            query = anchor * (1 + rng.integers(-4, 5, size=dim) * 2.0 ** -52)
+            assert_matches_reference(query.tolist(), rows)
+
+
+def test_rows_outside_the_margins_norm_range_are_always_scored():
+    """The margin holds only while no square, product or norm product
+    underflows or overflows, so rows with a norm outside 2**-450..2**450,
+    and every row of a query with such a norm, are scored exactly even when
+    no score could reach the floor."""
+    rows = [("A1", [1.0, 0.0]), ("B2", [2.0 ** 451, 0.0]),
+            ("C3", [0.0, 2.0 ** -451]), ("D4", [2.0 ** 449, 2.0 ** 449]),
+            ("E5", [2.0 ** -449, 0.0])]
+    index = EmbeddingIndex.from_rows(rows)
+    assert _Scorer([1.0, 1.0], index, "q").rows_at_least(2.0).tolist() == [1, 2]
+    for query in ([2.0 ** 451, 1.0], [2.0 ** -451, 0.0]):
+        assert _Scorer(query, index, "q").rows_at_least(2.0).tolist() == \
+            [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("vec, problem", [
+    ([0.0, 0.0], "zero vector for 'B2'"),
+    ([math.nan, 1.0], "non-finite value for 'B2'"),
+    ([1.0, math.inf], "non-finite value for 'B2'"),
+    ([1e200, 1e200], "norm overflows for 'B2'"),
+])
+def test_index_rejects_vectors_without_a_cosine(vec, problem):
+    with pytest.raises(SchemaError, match=problem):
+        EmbeddingIndex.from_rows([("A1", [1.0, 0.0]), ("B2", vec)])
+
+
+def test_load_embedding_table_names_file_and_line(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("# header\nA1,1.0,0.0\nB2,nan,0.0\n")
+    with pytest.raises(SchemaError, match=r"^line 3: .*emb\.csv: non-finite"):
+        load_embedding_table(str(path))
+
+
+@pytest.mark.parametrize("query, problem", [
+    ([0.0, 0.0], "query 'q': zero vector"),
+    ([math.nan, 0.0], "query 'q': non-finite value"),
+    ([1.0, 0.0, 0.0], "query 'q': dimension mismatch: 3 != 2"),
+])
+def test_match_rejects_query_without_a_cosine(query, problem):
+    index = build_index()
+    with pytest.raises(SchemaError, match=problem):
+        match_concept(query, index, "q")
+    with pytest.raises(SchemaError, match=problem):
+        match_concept_all(query, index, 0.5, "q")
 
 
 # --- optional remote provider ----------------------------------------------
@@ -247,3 +388,76 @@ def test_remote_fetch_connection_refused_is_oserror():
     with pytest.raises(OSError):
         fetch_remote_embeddings(["x"], url=f"http://127.0.0.1:{port}/embed",
                                 timeout=5)
+
+
+# --- `claimgraph match` errors are one line -----------------------------------
+
+
+def _match_cli(tmp_path, capsys, index_text, query_text, *flags):
+    index = tmp_path / "index.csv"
+    index.write_text(index_text)
+    queries = tmp_path / "q.csv"
+    queries.write_text(query_text)
+    code = cli.main(["match", "--index", str(index), "--queries", str(queries),
+                     *flags])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index_text, query_text, flags, message", [
+    ("A1,1.0,0.0\n", "q1,0.0,0.0\n", [], r"line 1: .*q\.csv: zero vector for 'q1'"),
+    ("A1,1.0,0.0\nB2,0.0,0.0\n", "q1,1.0,0.0\n", [],
+     r"line 2: .*index\.csv: zero vector for 'B2'"),
+    ("A1,1.0,0.0\n", "q1,nan,0.0\n", [], r"line 1: .*q\.csv: non-finite value"),
+    ("A1,inf,0.0\n", "q1,1.0,0.0\n", [], r"line 1: .*index\.csv: non-finite value"),
+    ("A1,1.0,0.0\n", "# no rows\n", [], r"q\.csv: no embedding vectors"),
+    ("A1,1.0,0.0\n", "q1,1.0,0.0\n", ["--threshold", "nan"],
+     "--threshold must be finite, got nan"),
+], ids=["zero-query", "zero-index-row", "nan-query", "inf-index", "empty-queries",
+        "nan-threshold"])
+def test_cli_match_rejects_bad_vectors(tmp_path, capsys, index_text, query_text,
+                                       flags, message):
+    code, err = _match_cli(tmp_path, capsys, index_text, query_text, *flags)
+    assert code == 1
+    assert err.startswith("claimgraph: ") and err.count("\n") == 1
+    assert re.search(message, err), err
+
+
+def test_cli_remote_texts_needs_provider(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CLAIMGRAPH_EMBED_URL", raising=False)
+    code, err = _match_cli(tmp_path, capsys, "A1,1.0,0.0\n", "some text\n",
+                           "--remote-texts")
+    assert code == 1
+    assert err == "claimgraph: --remote-texts needs CLAIMGRAPH_EMBED_URL set\n"
+
+
+def test_cli_remote_texts_rejects_empty_text_file(tmp_path, capsys, monkeypatch):
+    # Rejected before any request is made, so the address is never contacted.
+    monkeypatch.setenv("CLAIMGRAPH_EMBED_URL", "http://127.0.0.1:9/embed")
+    code, err = _match_cli(tmp_path, capsys, "A1,1.0,0.0\n", "\n\n",
+                           "--remote-texts")
+    assert code == 1
+    assert re.fullmatch(r"claimgraph: .*q\.csv: no query texts\n", err), err
+
+
+@pytest.mark.parametrize("body, message", [
+    (b'{"vectors": [[NaN, 1.0]]}', "remote provider: non-finite value for 'q1'"),
+    (b'{"vectors": [[0.0, 0.0]]}', "remote provider: zero vector for 'q1'"),
+    (b'{"vectors": [[1.0, 0.0, 1.0]]}', "query 'q1': dimension mismatch: 3 != 2"),
+], ids=["nan", "zero", "dimension"])
+def test_cli_remote_vectors_are_validated(tmp_path, capsys, monkeypatch, body,
+                                          message):
+    server = _serve(200, body)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        monkeypatch.setenv("CLAIMGRAPH_EMBED_URL",
+                           f"http://127.0.0.1:{server.server_port}/embed")
+        code, err = _match_cli(tmp_path, capsys, "A1,1.0,0.0\n", "some text\n",
+                               "--remote-texts")
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+    assert not thread.is_alive()
+    assert code == 1
+    assert err == f"claimgraph: {message}\n"
