@@ -2,7 +2,8 @@
 
 Every subcommand reads plain files and writes CSV (stdout by default), so
 runs can be scripted and diffed. `claimgraph run` drives the full pipeline
-from a key=value config file.
+from a key=value config file. A table command returns its computed
+(header, rows) for `main` to write, so a failed command leaves no `--out`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .embedding import (
     remote_provider_configured,
 )
 from .errors import ClaimGraphError, SchemaError, check_range
-from .graphs import build_graph, complexity_measures
+from .graphs import DEFAULT_PATH_CAP, build_graph, complexity_measures
 from .ingest import (
     merge_outcome_files,
     parse_corpus_file,
@@ -36,7 +37,9 @@ from .pipeline import (
     CENTRALITY_COLUMNS,
     CENTRALITY_STATS,
     COMPLEXITY_COLUMNS,
+    GAP_VIEWS,
     NOVELTY_MEASURES,
+    NOVELTY_VIEWS,
     REGRESSION_COLUMNS,
     TREND_COLUMNS,
     add_zscores,
@@ -44,7 +47,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .regression import load_spec_file, run_regressions
-from .tableio import parse_float, parse_int, read_csv_dicts, write_rows
+from .tableio import open_text, parse_float, parse_int, read_csv_dicts, write_rows
 from .trends import GROUPINGS, aggregate_trends
 
 CLI_VIEWS = ("full", "causal", "non-causal")
@@ -80,16 +83,15 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     config = parse_config_file(args.config)
     run = run_pipeline(config, args.out)
     for diag in run.diagnostics:
         print(diag, file=sys.stderr)
     print(f"wrote {run.n_records} papers to {run.out_dir}", file=sys.stderr)
-    return 0
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> None:
     records = _load_corpus(args)
     outcomes = split_paths(args.outcomes)
     if outcomes:
@@ -97,18 +99,16 @@ def cmd_ingest(args) -> int:
                                       args.default_tier)
     with _open_out(args.out) as fh:
         serialize_corpus(records, fh)
-    return 0
 
 
-def cmd_measures(args) -> int:
+def cmd_measures(args):
+    # A list, not a generator: a path_cap error must come before any output.
     rows = [complexity_measures(record, path_cap=args.path_cap)
             for record in _load_corpus(args)]
-    with _open_out(args.out) as fh:
-        write_rows(fh, ["paper_id", "year", *COMPLEXITY_COLUMNS], rows)
-    return 0
+    return ["paper_id", "year", *COMPLEXITY_COLUMNS], rows
 
 
-def cmd_novelty(args) -> int:
+def cmd_novelty(args):
     records, graphs = _load_graphs(args)
     ledger = (novelty_mod.load_ledger_file(args.ledger_in) if args.ledger_in
               else novelty_mod.LedgerState())
@@ -127,51 +127,42 @@ def cmd_novelty(args) -> int:
     scores, ledger = novelty_mod.score_corpus(graphs, ledger=ledger)
     if args.ledger_out:
         novelty_mod.save_ledger_file(ledger, args.ledger_out)
-    with _open_out(args.out) as fh:
-        write_rows(fh, ["paper_id", "year", *NOVELTY_MEASURES],
-                   (scores[r.paper_id] for r in records))
-    return 0
+    return (["paper_id", "year", *NOVELTY_MEASURES],
+            (scores[r.paper_id] for r in records))
 
 
-def cmd_gaps(args) -> int:
+def cmd_gaps(args):
     records, graphs = _load_graphs(args)
     table = (cooccur_mod.load_pair_table_file(args.table_in)
              if args.table_in else None)
     scores, table = cooccur_mod.score_corpus(graphs, tau=args.tau, table=table)
     if args.table_out:
         cooccur_mod.save_pair_table_file(table, args.table_out)
-    rows = ([r.paper_id, r.year, scores[r.paper_id]] for r in records)
-    with _open_out(args.out) as fh:
-        write_rows(fh, ["paper_id", "year", "gap_prop"], rows)
-    return 0
+    return (["paper_id", "year", "gap_prop"],
+            ([r.paper_id, r.year, scores[r.paper_id]] for r in records))
 
 
-def cmd_centrality(args) -> int:
+def cmd_centrality(args):
     records, graphs = _load_graphs(args)
     stats = centrality_mod.score_corpus(graphs, damping=args.damping)
     by_id = {s.paper_id: s for s in stats}
     # The row names the view as the flag spells it.
     rows = [{**by_id[r.paper_id]._asdict(), "view": args.view} for r in records]
     add_zscores(rows, CENTRALITY_STATS)
-    with _open_out(args.out) as fh:
-        write_rows(fh, CENTRALITY_COLUMNS,
-                   ([row[col] for col in CENTRALITY_COLUMNS] for row in rows))
-    return 0
+    return (CENTRALITY_COLUMNS,
+            ([row[col] for col in CENTRALITY_COLUMNS] for row in rows))
 
 
-def cmd_node_series(args) -> int:
+def cmd_node_series(args):
     _, graphs = _load_graphs(args)
     try:
         series = centrality_mod.node_centrality_series(graphs, args.code)
     except ValueError as exc:  # a code the corpus never uses
         raise SchemaError(str(exc)) from None
-    with _open_out(args.out) as fh:
-        write_rows(fh, ["year", "eigen_centrality", "eigen_centrality_minmax"],
-                   series)
-    return 0
+    return ["year", "eigen_centrality", "eigen_centrality_minmax"], series
 
 
-def cmd_regress(args) -> int:
+def cmd_regress(args):
     rows: list[dict] = []
     entries = read_csv_dicts(args.measures)
     if entries and "year" not in entries[0]:
@@ -195,27 +186,22 @@ def cmd_regress(args) -> int:
     specs = load_spec_file(args.specs)
     results = run_regressions(rows, specs, keep_errors=False)
     header = REGRESSION_COLUMNS[:-1]  # no error column: errors abort
-    with _open_out(args.out) as fh:
-        write_rows(fh, header, ([r[c] for c in header] for r in results))
-    return 0
+    return header, ([r[c] for c in header] for r in results)
 
 
-def cmd_trends(args) -> int:
-    records = _load_corpus(args)
-    rows = aggregate_trends(records, group_by=args.group_by)
-    with _open_out(args.out) as fh:
-        write_rows(fh, TREND_COLUMNS, rows)
-    return 0
+def cmd_trends(args):
+    return TREND_COLUMNS, aggregate_trends(_load_corpus(args),
+                                           group_by=args.group_by)
 
 
-def cmd_match(args) -> int:
+def cmd_match(args):
     if args.threshold is not None and not math.isfinite(args.threshold):
         raise SchemaError(f"--threshold must be finite, got {args.threshold}")
     if args.remote_texts and not remote_provider_configured():
         raise ClaimGraphError(f"--remote-texts needs {ENV_REMOTE_URL} set")
     index = load_embedding_table(args.index)
     if args.remote_texts:
-        with open(args.queries, encoding="utf-8") as fh:
+        with open_text(args.queries) as fh:
             texts = [line.rstrip("\n") for line in fh if line.strip()]
         if not texts:
             raise SchemaError(f"{args.queries}: no query texts")
@@ -235,9 +221,7 @@ def cmd_match(args) -> int:
         else:
             m = match_concept(vec, index, query_id)
             rows.append([m.query_id, m.code, m.score, 1])
-    with _open_out(args.out) as fh:
-        write_rows(fh, ["query_id", "code", "similarity", "rank"], rows)
-    return 0
+    return ["query_id", "code", "similarity", "rank"], rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measures", help="per-paper structural measures")
     _add_corpus_args(p)
-    p.add_argument("--path-cap", type=int, default=1_000_000)
+    p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("novelty", help="novelty against the year frontier")
     _add_corpus_args(p)
-    p.add_argument("--view", default="full", choices=["full", "causal"])
+    p.add_argument("--view", default="full", choices=NOVELTY_VIEWS)
     p.add_argument("--path-len", type=int, help="default: the ledger's, "
                    f"else {novelty_mod.DEFAULT_PATH_LEN}")
     p.add_argument("--subgraph-size", type=int, help="default: the ledger's, "
@@ -278,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gaps", help="gap-filling against pair counts")
     _add_corpus_args(p)
-    p.add_argument("--view", default="full", choices=["full", "causal"])
+    p.add_argument("--view", default="full", choices=GAP_VIEWS)
     p.add_argument("--tau", type=int, default=cooccur_mod.DEFAULT_TAU)
     p.add_argument("--table-in", default="", help="resume from a saved pair table")
     p.add_argument("--table-out", default="", help="save the final pair table")
@@ -286,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("centrality", help="prior-year centrality statistics")
     _add_corpus_args(p)
-    p.add_argument("--view", default="non-causal", choices=list(CLI_VIEWS))
+    p.add_argument("--view", default="non-causal", choices=CLI_VIEWS)
     p.add_argument("--damping", type=float,
                    default=centrality_mod.DEFAULT_DAMPING)
     p.set_defaults(func=cmd_centrality)
@@ -295,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="yearly eigenvector centrality of one code")
     _add_corpus_args(p)
     p.add_argument("--code", required=True)
-    p.add_argument("--view", default="full", choices=list(CLI_VIEWS))
+    p.add_argument("--view", default="full", choices=CLI_VIEWS)
     p.set_defaults(func=cmd_node_series)
 
     p = sub.add_parser("regress", help="fit regression specs on a measures table")
@@ -328,10 +312,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        table = args.func(args)
+        if table is not None:
+            with _open_out(args.out) as fh:
+                write_rows(fh, *table)
     except (ClaimGraphError, OSError) as exc:
         print(f"claimgraph: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

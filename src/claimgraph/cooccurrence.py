@@ -21,19 +21,13 @@ DEFAULT_TAU = 5
 TABLE_MAGIC = "#claimgraph-pairs v1"
 
 
-def _pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 @dataclass
 class PairCountTable:
-    """Cumulative unordered co-occurrence counts through `through_year`."""
+    """Cumulative unordered co-occurrence counts through `through_year`,
+    keyed by sorted code pairs."""
 
     through_year: int | None = None
     counts: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def count(self, a: str, b: str) -> int:
-        return self.counts.get(_pair(a, b), 0)
 
 
 def update_pair_counts(table: PairCountTable,
@@ -47,9 +41,8 @@ def update_pair_counts(table: PairCountTable,
         return table
     year = batch_year(papers, table.through_year, "pair table")
     for graph in papers:
-        for a, b in combinations(sorted(graph.nodes), 2):
-            key = (a, b)
-            table.counts[key] = table.counts.get(key, 0) + 1
+        for pair in combinations(sorted(graph.nodes), 2):
+            table.counts[pair] = table.counts.get(pair, 0) + 1
     table.through_year = year
     return table
 
@@ -61,11 +54,10 @@ def gap_filling_prop(graph: PaperGraph, table: PairCountTable,
     Graphs with fewer than two nodes have no pairs and score missing. The
     score is monotone non-decreasing in tau.
     """
-    nodes = sorted(graph.nodes)
-    if len(nodes) < 2:
+    pairs = list(combinations(sorted(graph.nodes), 2))
+    if not pairs:
         return None
-    pairs = list(combinations(nodes, 2))
-    rare = sum(1 for a, b in pairs if table.count(a, b) < tau)
+    rare = sum(1 for pair in pairs if table.counts.get(pair, 0) < tau)
     return rare / len(pairs)
 
 

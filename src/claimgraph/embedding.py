@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
+from .tableio import open_text
 
 ENV_REMOTE_URL = "CLAIMGRAPH_EMBED_URL"
 ENV_REMOTE_TOKEN = "CLAIMGRAPH_EMBED_TOKEN"
@@ -111,19 +112,19 @@ def _build(rows: Iterable[tuple[str, Iterable[float], int | None]],
     return EmbeddingIndex(ids=ids, matrix=matrix, norms=norms)
 
 
-def load_embedding_table(path: str, delimiter: str = ",") -> EmbeddingIndex:
+def load_embedding_table(path: str) -> EmbeddingIndex:
     """Load an id,v1,...,vD table; every row must share one dimension and be
     finite and non-zero."""
-    with open(path, encoding="utf-8") as fh:
-        return _build(_table_rows(fh, path, delimiter), path)
+    with open_text(path) as fh:
+        return _build(_table_rows(fh, path), path)
 
 
-def _table_rows(lines: Iterable[str], path: str, delimiter: str):
+def _table_rows(lines: Iterable[str], path: str):
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split(delimiter)
+        parts = line.split(",")
         if len(parts) < 2:
             raise SchemaError(f"{path}: embedding row needs id and values",
                               line_no=line_no)

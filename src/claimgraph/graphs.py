@@ -21,6 +21,7 @@ from .model import PaperRecord
 VIEWS = ("full", "causal", "noncausal")
 
 DEFAULT_PATH_CAP = 1_000_000
+DEFAULT_EPSILON = 1e-9
 
 
 @dataclass
@@ -124,7 +125,7 @@ def count_paths(graph: PaperGraph, cap: int = DEFAULT_PATH_CAP) -> tuple[int, in
     return n_paths, longest
 
 
-def source_sink_ratio(graph: PaperGraph, epsilon: float = 1e-9) -> float:
+def source_sink_ratio(graph: PaperGraph, epsilon: float = DEFAULT_EPSILON) -> float:
     """Nodes with out-edges over nodes with in-edges, denominator padded by
     epsilon. An edgeless graph scores 0."""
     sources = {u for u, _ in graph.edges}
@@ -159,25 +160,17 @@ class ComplexityMeasures(NamedTuple):
 
 
 def complexity_measures(record: PaperRecord, path_cap: int = DEFAULT_PATH_CAP,
-                        epsilon: float = 1e-9) -> ComplexityMeasures:
+                        epsilon: float = DEFAULT_EPSILON) -> ComplexityMeasures:
     """All structural measures for one record.
 
     Zero-edge records yield missing (None) path and ratio measures so they
     stay distinguishable from papers whose graphs truly have zero paths.
     """
-    num_edges = len(record.edges)
-    num_causal = sum(1 for e in record.edges if e.is_causal)
-    full, causal, noncausal = (
-        path_measures(build_graph(record, view), path_cap, epsilon)
-        if num_edges else (None, None, None) for view in VIEWS)
+    counts = record.claim_counts()
+    per_view = [path_measures(build_graph(record, view), path_cap, epsilon)
+                if counts[0] else (None, None, None) for view in VIEWS]
+    # The fields' order: path counts and lengths of every view, then ratios.
     return ComplexityMeasures(
-        paper_id=record.paper_id, year=record.year,
-        num_edges=num_edges, num_causal_edges=num_causal,
-        prop_causal_edges=num_causal / num_edges if num_edges else None,
-        num_unique_paths=full[0], longest_path=full[1],
-        num_unique_paths_causal=causal[0], longest_path_causal=causal[1],
-        num_unique_paths_noncausal=noncausal[0],
-        longest_path_noncausal=noncausal[1],
-        source_sink_full=full[2], source_sink_causal=causal[2],
-        source_sink_noncausal=noncausal[2],
-    )
+        record.paper_id, record.year, *counts,
+        *(value for measures in per_view for value in measures[:2]),
+        *(measures[2] for measures in per_view))

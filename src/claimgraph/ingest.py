@@ -34,6 +34,7 @@ from .model import (
     normalize_title,
     unknown_method_tags,
 )
+from .tableio import open_text
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +164,7 @@ def parse_corpus_file(path: str, strict: bool = False,
                       min_year: int = DEFAULT_MIN_YEAR,
                       max_year: int = DEFAULT_MAX_YEAR,
                       ) -> tuple[list[PaperRecord], list[Diagnostic]]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_corpus(fh, strict=strict, min_year=min_year, max_year=max_year)
 
 
@@ -224,7 +225,7 @@ def load_outcome_table(path: str, name: str | None = None) -> OutcomeTable:
     whose paper_id is empty.
     """
     table = OutcomeTable(name=name or path)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SchemaError(f"{path}: empty outcome table")
@@ -255,7 +256,7 @@ def load_outcome_table(path: str, name: str | None = None) -> OutcomeTable:
 def load_rank_table(path: str) -> dict[str, str]:
     """Load (journal, tier) rows mapping normalized journal names to tiers."""
     ranks: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"journal", "tier"} <= set(reader.fieldnames):
             raise SchemaError(f"{path}: rank table needs journal and tier columns")

@@ -109,10 +109,9 @@ def _normalized_tags(methods: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(normalize_method_tag(t) for t in methods)
 
 
-def is_causal_methods(methods: tuple[str, ...] | list[str],
-                      whitelist: frozenset[str] = CAUSAL_METHODS) -> bool:
+def is_causal_methods(methods: tuple[str, ...] | list[str]) -> bool:
     """True when any normalized tag sits on the causal whitelist."""
-    return any(t in whitelist for t in _normalized_tags(tuple(methods)))
+    return any(t in CAUSAL_METHODS for t in _normalized_tags(tuple(methods)))
 
 
 def unknown_method_tags(methods: tuple[str, ...] | list[str]) -> list[str]:
@@ -160,11 +159,15 @@ class PaperRecord:
             tags.update(_normalized_tags(tuple(e.methods)))
         return tags
 
+    def claim_counts(self) -> tuple[int, int, float | None]:
+        """(claims, causal claims, causal share or None for zero claims)."""
+        n_claims = len(self.edges)
+        n_causal = sum(1 for e in self.edges if e.is_causal)
+        return n_claims, n_causal, n_causal / n_claims if n_claims else None
+
     def prop_causal(self) -> float | None:
         """Share of claim edges that are causal; None for zero-edge papers."""
-        if not self.edges:
-            return None
-        return sum(1 for e in self.edges if e.is_causal) / len(self.edges)
+        return self.claim_counts()[2]
 
 
 def normalize_title(title: str) -> str:

@@ -18,7 +18,8 @@ from . import centrality as centrality_mod
 from . import cooccurrence as cooccur_mod
 from . import novelty as novelty_mod
 from .errors import ClaimGraphError, SchemaError, check_range
-from .graphs import DEFAULT_PATH_CAP, VIEWS, build_graph, path_measures
+from .graphs import (DEFAULT_EPSILON, DEFAULT_PATH_CAP, VIEWS, build_graph,
+                     path_measures)
 from .ingest import (
     DEFAULT_MAX_YEAR,
     DEFAULT_MIN_YEAR,
@@ -29,7 +30,7 @@ from .ingest import (
 )
 from .model import PaperRecord
 from .regression import OUTCOMES, RegressionSpec, load_spec_file, run_regressions
-from .tableio import write_csv, write_csv_dicts
+from .tableio import open_text, write_csv, write_csv_dicts
 from .trends import TrendRow, aggregate_trends
 
 NOVELTY_VIEWS = ("full", "causal")
@@ -95,7 +96,7 @@ class PipelineConfig:
     path_len: int = novelty_mod.DEFAULT_PATH_LEN
     subgraph_size: int = novelty_mod.DEFAULT_SUBGRAPH_SIZE
     tau: int = cooccur_mod.DEFAULT_TAU
-    epsilon: float = 1e-9
+    epsilon: float = DEFAULT_EPSILON
     damping: float = centrality_mod.DEFAULT_DAMPING
     tol: float = centrality_mod.DEFAULT_TOL
     max_iter: int = centrality_mod.DEFAULT_MAX_ITER
@@ -143,7 +144,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
 
 
 def parse_config_file(path: str) -> PipelineConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_config_text(fh.read(), base_dir=os.path.dirname(path) or ".")
 
 
@@ -158,18 +159,16 @@ MEASURE_COLUMNS: list[str] = (
 
 
 def _record_row(record: PaperRecord) -> dict:
-    num_edges = len(record.edges)
-    num_causal = sum(1 for e in record.edges if e.is_causal)
-    return {
+    row = {
         "paper_id": record.paper_id,
         "year": record.year,
         "pub_tier": record.pub_tier,
         "citations": record.citations,
         "outcome_source": record.outcome_source or None,
-        "num_edges": num_edges,
-        "num_causal_edges": num_causal,
-        "prop_causal_edges": num_causal / num_edges if num_edges else None,
     }
+    # The first three complexity columns are the claim counts.
+    row.update(zip(COMPLEXITY_COLUMNS, record.claim_counts()))
+    return row
 
 
 def _fill(by_id: dict[str, dict], results, measures, view: str) -> None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CollinearityError, SchemaError
+from .tableio import open_text
 
 OUTCOMES = ("Top5", "Top6to20", "Top21to100", "LogCitesPlus1")
 
@@ -244,7 +245,7 @@ def load_spec_file(path: str) -> list[RegressionSpec]:
     """Read regression specs from a CSV with columns
     outcome, measure, view, fe, cluster."""
     specs: list[RegressionSpec] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"outcome", "measure", "view", "fe", "cluster"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):

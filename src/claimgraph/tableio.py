@@ -13,6 +13,8 @@ import io
 import os
 from typing import Iterable, Iterator, Sequence, TextIO
 
+from .errors import SchemaError
+
 
 # Cell formatters by exact type, for the types tables hold; any other type,
 # numpy scalars included, is written with `str`.
@@ -51,20 +53,25 @@ def write_csv_dicts(path: str, header: Sequence[str], rows: Iterable[dict],
               comment=comment)
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV written by this module; leading '#' comment lines skipped."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
-    rows = [row for row in reader if row]
-    if not rows:
-        return [], []
-    return rows[0], rows[1:]
+@contextlib.contextmanager
+def open_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """`path` opened to read UTF-8 text. A byte that does not decode raises
+    SchemaError naming the file. The decoder's byte position is left out: it
+    counts from the chunk being decoded, not from the start of the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def read_csv_dicts(path: str) -> list[dict[str, str]]:
-    header, rows = read_csv(path)
+    """A CSV written by this module as header-keyed rows; '#' lines skipped."""
+    with open_text(path, newline="") as fh:
+        text = fh.read()
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    reader = csv.reader(io.StringIO("\n".join(lines)))
+    header, *rows = [row for row in reader if row] or [[]]
     return [dict(zip(header, row)) for row in rows]
 
 

@@ -298,6 +298,7 @@ def stub_server():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()
 
 
 def test_remote_disabled_without_env(monkeypatch):
@@ -344,6 +345,7 @@ def test_remote_fetch_rejects_bad_payload():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()
 
 
 def _serve(status, body):
@@ -378,6 +380,7 @@ def test_remote_fetch_errors(status, body, error):
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()
     assert not thread.is_alive()
 
 
