@@ -14,7 +14,7 @@ from typing import Sequence, TextIO
 
 from .errors import SchemaError
 from .graphs import PaperGraph, batch_year, year_batches
-from .tableio import replace_on_success
+from .tableio import open_text, replace_on_success
 
 DEFAULT_TAU = 5
 
@@ -79,8 +79,10 @@ def save_pair_table(table: PairCountTable, fh: TextIO) -> None:
     fh.write(f"{TABLE_MAGIC}\n")
     fh.write(f"through_year={'' if table.through_year is None else table.through_year}\n")
     fh.write("code1,code2,count\n")
-    for (a, b), count in sorted(table.counts.items()):
-        fh.write(f"{a},{b},{count}\n")
+    if table.counts:
+        fh.write("\n".join([f"{a},{b},{count}"
+                            for (a, b), count in sorted(table.counts.items())]))
+        fh.write("\n")
 
 
 def save_pair_table_file(table: PairCountTable, path: str) -> None:
@@ -89,7 +91,9 @@ def save_pair_table_file(table: PairCountTable, path: str) -> None:
 
 
 def load_pair_table(fh: TextIO) -> PairCountTable:
-    lines = [ln.rstrip("\n") for ln in fh]
+    lines = fh.read().split("\n")
+    if lines[-1] == "":  # the newline that ends the last line
+        lines.pop()
     if not lines or lines[0] != TABLE_MAGIC:
         raise ValueError("not a pair-count table file")
     if len(lines) < 3 or not lines[1].startswith("through_year="):
@@ -98,19 +102,20 @@ def load_pair_table(fh: TextIO) -> PairCountTable:
     table = PairCountTable(through_year=int(value) if value else None)
     if lines[2] != "code1,code2,count":
         raise ValueError("pair-count table missing column header")
-    for line in lines[3:]:
-        if not line:
-            continue
+    counts = table.counts
+    for line in filter(None, lines[3:]):
         a, b, raw = line.split(",")
         if b < a:
             raise ValueError(f"pair {a},{b} not sorted")
-        table.counts[(a, b)] = int(raw)
+        counts[a, b] = int(raw)
     return table
 
 
 def load_pair_table_file(path: str) -> PairCountTable:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             return load_pair_table(fh)
+        except UnicodeDecodeError:  # a ValueError that open_text words
+            raise
         except ValueError as exc:
             raise SchemaError(f"{path}: {exc}") from None

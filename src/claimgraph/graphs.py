@@ -24,7 +24,7 @@ DEFAULT_PATH_CAP = 1_000_000
 DEFAULT_EPSILON = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class PaperGraph:
     """Deduplicated directed graph of one paper's claims under one view."""
 

@@ -22,6 +22,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, replace, field
+from functools import lru_cache
 from typing import Iterable, Sequence, TextIO
 
 from .errors import DuplicatePaperError, SchemaError
@@ -52,6 +53,18 @@ class Diagnostic:
         return f"line {self.line_no}: [{self.kind}] {self.message}"
 
 
+_BAD_METHODS = "edge methods must be a list of strings"
+
+
+@lru_cache(maxsize=4096)
+def _sorted_methods(methods: tuple) -> tuple[str, ...]:
+    """An edge's tags in stored order, once per distinct tag list. A list
+    holding a non-string raises on every call: errors are not cached."""
+    if not all(isinstance(m, str) for m in methods):
+        raise ValueError(_BAD_METHODS)
+    return tuple(sorted(methods))
+
+
 def _parse_edge(obj: dict) -> ClaimEdge:
     if not isinstance(obj, dict):
         raise ValueError("edge must be an object")
@@ -61,19 +74,17 @@ def _parse_edge(obj: dict) -> ClaimEdge:
     except KeyError as exc:
         raise ValueError(f"edge missing {exc.args[0]!r}") from None
     methods = obj.get("methods", [])
-    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
-        raise ValueError("edge methods must be a list of strings")
+    if not isinstance(methods, list):
+        raise ValueError(_BAD_METHODS)
+    try:
+        methods = _sorted_methods(tuple(methods))
+    except TypeError:  # an unhashable element, such as a list
+        raise ValueError(_BAD_METHODS) from None
     relationship = str(obj.get("relationship", "correlation"))
     if relationship not in RELATIONSHIPS:
         raise ValueError(f"unknown relationship {relationship!r}")
-    return ClaimEdge(
-        source=source,
-        sink=sink,
-        source_text=str(obj.get("source_text", "")),
-        sink_text=str(obj.get("sink_text", "")),
-        methods=tuple(sorted(methods)),
-        relationship=relationship,
-    )
+    return ClaimEdge(source, sink, str(obj.get("source_text", "")),
+                     str(obj.get("sink_text", "")), methods, relationship)
 
 
 def _parse_record(obj: dict, min_year: int, max_year: int) -> PaperRecord:
@@ -110,7 +121,7 @@ def _parse_record(obj: dict, min_year: int, max_year: int) -> PaperRecord:
         paper_id=paper_id,
         year=year,
         fields=tuple(sorted(set(fields))),
-        edges=tuple(_parse_edge(e) for e in edges),
+        edges=tuple([_parse_edge(e) for e in edges]),
         title=title,
         pub_tier=pub_tier,
         citations=citations,

@@ -9,8 +9,9 @@ alone, never by the relationship label.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 PUB_TIERS = ("Top5", "Top6to20", "Top21to100", "Other", "Unpublished", "Unknown")
 
@@ -26,8 +27,12 @@ RELATIONSHIPS = (
 _CODE_RE = re.compile(r"^[A-Z][0-9]{1,2}$")
 
 
+@lru_cache(maxsize=4096)
 def normalize_code(code: str) -> str:
-    """Uppercase and validate a concept code. Raises ValueError when malformed."""
+    """Uppercase and validate a concept code. Raises ValueError when malformed.
+
+    Cached: a corpus repeats few codes. A malformed code raises on every
+    call, since `lru_cache` does not keep exceptions."""
     code = code.strip().upper()
     if not _CODE_RE.match(code):
         raise ValueError(f"malformed concept code {code!r}")
@@ -109,24 +114,33 @@ def _normalized_tags(methods: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(normalize_method_tag(t) for t in methods)
 
 
+@lru_cache(maxsize=4096)
+def _causal_decision(methods: tuple[str, ...]) -> bool:
+    return any(t in CAUSAL_METHODS for t in _normalized_tags(methods))
+
+
 def is_causal_methods(methods: tuple[str, ...] | list[str]) -> bool:
     """True when any normalized tag sits on the causal whitelist."""
-    return any(t in CAUSAL_METHODS for t in _normalized_tags(tuple(methods)))
+    return _causal_decision(tuple(methods))
+
+
+@lru_cache(maxsize=4096)
+def _unknown_tags(methods: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(t for t in _normalized_tags(methods)
+                 if t not in CAUSAL_METHODS and t not in KNOWN_NONCAUSAL_METHODS)
 
 
 def unknown_method_tags(methods: tuple[str, ...] | list[str]) -> list[str]:
     """Normalized tags outside both the causal and the known non-causal sets."""
-    return [t for t in _normalized_tags(tuple(methods))
-            if t not in CAUSAL_METHODS and t not in KNOWN_NONCAUSAL_METHODS]
+    return list(_unknown_tags(tuple(methods)))
 
 
-@dataclass(frozen=True)
-class ClaimEdge:
+class ClaimEdge(NamedTuple):
     """One directed claim between two concept codes.
 
-    `methods` keeps the raw tags as given (sorted for stable round-trips);
-    `is_causal` is derived from them once, at construction, and cannot be
-    set independently.
+    `methods` keeps the raw tags as given (sorted for stable round-trips).
+    `is_causal` is derived from them and cannot be set independently; it is
+    neither a field nor part of equality.
     """
 
     source: str
@@ -135,13 +149,13 @@ class ClaimEdge:
     sink_text: str = ""
     methods: tuple[str, ...] = ()
     relationship: str = "correlation"
-    is_causal: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "is_causal", is_causal_methods(self.methods))
+    @property
+    def is_causal(self) -> bool:
+        return _causal_decision(tuple(self.methods))
 
 
-@dataclass
+@dataclass(slots=True)
 class PaperRecord:
     paper_id: str
     year: int

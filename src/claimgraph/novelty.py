@@ -9,6 +9,7 @@ the ledger only after every paper in that year is scored.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -17,7 +18,7 @@ from typing import NamedTuple, Sequence, TextIO
 
 from .errors import SchemaError, SubsetBudgetExceeded, check_range
 from .graphs import PaperGraph, batch_year, iter_simple_paths, year_batches
-from .tableio import replace_on_success
+from .tableio import open_text, replace_on_success
 
 DEFAULT_PATH_LEN = 3
 DEFAULT_SUBGRAPH_SIZE = 3
@@ -207,18 +208,22 @@ def score_corpus(graphs: Sequence[PaperGraph], path_len: int = DEFAULT_PATH_LEN,
     return out, ledger
 
 
+def _sections(ledger: LedgerState) -> dict[str, set[str]]:
+    return {"edges": ledger.seen_edges, "paths": ledger.seen_paths,
+            "signatures": ledger.seen_signatures}
+
+
 def save_ledger(ledger: LedgerState, fh: TextIO) -> None:
     """Persist a ledger as sorted canonical strings under section tags."""
     fh.write(f"{LEDGER_MAGIC}\n")
     fh.write(f"year={'' if ledger.current_year is None else ledger.current_year}\n")
     fh.write(f"path_len={ledger.path_len}\n")
     fh.write(f"subgraph_size={ledger.subgraph_size}\n")
-    for tag, items in (("edges", ledger.seen_edges),
-                       ("paths", ledger.seen_paths),
-                       ("signatures", ledger.seen_signatures)):
+    for tag, items in _sections(ledger).items():
         fh.write(f"[{tag}]\n")
-        for item in sorted(items):
-            fh.write(f"{item}\n")
+        if items:
+            fh.write("\n".join(sorted(items)))
+            fh.write("\n")
 
 
 def save_ledger_file(ledger: LedgerState, path: str) -> None:
@@ -226,39 +231,41 @@ def save_ledger_file(ledger: LedgerState, path: str) -> None:
         save_ledger(ledger, fh)
 
 
+# A section tag: a whole line that opens with '[' and closes with ']'.
+_SECTION_RE = re.compile(r"^\[(.*)\]$", re.MULTILINE)
+
+
 def load_ledger(fh: TextIO) -> LedgerState:
-    lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != LEDGER_MAGIC:
+    """Header lines come before the first section; blank lines are skipped."""
+    head, *sections = _SECTION_RE.split(fh.read())
+    magic, *headers = head.split("\n")
+    if magic != LEDGER_MAGIC:
         raise ValueError("not a frontier ledger file")
     ledger = LedgerState()
-    section: str | None = None
-    buckets = {"edges": ledger.seen_edges, "paths": ledger.seen_paths,
-               "signatures": ledger.seen_signatures}
-    for line in lines[1:]:
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            if section not in buckets:
-                raise ValueError(f"unknown ledger section {section!r}")
-            continue
-        if section is None:
-            key, _, value = line.partition("=")
-            if key == "year":
-                ledger.current_year = int(value) if value else None
-            elif key in LEDGER_RANGES:
-                setattr(ledger, key, int(value))
-                check_range(key, getattr(ledger, key), LEDGER_RANGES[key])
-            else:
-                raise ValueError(f"unknown ledger header {key!r}")
+    for line in filter(None, headers):
+        key, _, value = line.partition("=")
+        if key == "year":
+            ledger.current_year = int(value) if value else None
+        elif key in LEDGER_RANGES:
+            setattr(ledger, key, int(value))
+            check_range(key, getattr(ledger, key), LEDGER_RANGES[key])
         else:
-            buckets[section].add(line)
+            raise ValueError(f"unknown ledger header {key!r}")
+    buckets = _sections(ledger)
+    for tag, body in zip(sections[::2], sections[1::2]):
+        if tag not in buckets:
+            raise ValueError(f"unknown ledger section {tag!r}")
+        buckets[tag].update(body.split("\n"))
+    for bucket in buckets.values():
+        bucket.discard("")
     return ledger
 
 
 def load_ledger_file(path: str) -> LedgerState:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             return load_ledger(fh)
+        except UnicodeDecodeError:  # a ValueError that open_text words
+            raise
         except (ValueError, SchemaError) as exc:
             raise SchemaError(f"{path}: {exc}") from None

@@ -147,10 +147,25 @@ def _query_texts(tmp_path, corpus):
             "--queries", bad, "--remote-texts"], bad
 
 
+def _ledger(tmp_path, corpus):
+    # The bad byte sits past the decoder's first chunk, whose position the
+    # message must not report.
+    bad = _bad(tmp_path, "ledger.txt", "#claimgraph-frontier v1\nyear=1999\n"
+               "[edges]\n" + "A1->B2\n" * 3_000 + "B?->C3\n")
+    return ["novelty", "--corpus", corpus, "--ledger-in", bad], bad
+
+
+def _pair_table(tmp_path, corpus):
+    bad = _bad(tmp_path, "pairs.txt", "#claimgraph-pairs v1\nthrough_year=1999\n"
+               "code1,code2,count\n" + "A1,B2,1\n" * 3_000 + "B?,C3,1\n")
+    return ["gaps", "--corpus", corpus, "--table-in", bad], bad
+
+
 @pytest.mark.parametrize("make_argv", [
     _corpus, _config, _outcomes, _ranks, _specs, _measures, _index, _query_texts,
+    _ledger, _pair_table,
 ], ids=["corpus", "config", "outcome-table", "rank-table", "spec-file",
-        "measures-table", "embedding-table", "query-texts"])
+        "measures-table", "embedding-table", "query-texts", "ledger", "pair-table"])
 def test_non_utf8_input_is_a_one_line_error(tmp_path, landmark_path, capsys,
                                             monkeypatch, make_argv):
     # The texts are rejected before any request; the port is never contacted.

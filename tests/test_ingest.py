@@ -131,6 +131,44 @@ def test_round_trip_is_identity():
     assert buf.getvalue() == buf2.getvalue()
 
 
+def _with_edge(paper_id, **edge):
+    obj = json.loads(GOOD_LINE)
+    obj["paper_id"] = paper_id
+    obj["edges"][0].update(edge)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("edge, kind, fragment", [
+    ({"source_code": "banana"}, "schema", "malformed concept code 'BANANA'"),
+    ({"relationship": "causes"}, "schema", "unknown relationship 'causes'"),
+    ({"methods": ["OLS", 7]}, "schema", "edge methods must be a list of strings"),
+    ({"methods": [["OLS"]]}, "schema", "edge methods must be a list of strings"),
+    ({"methods": ["GMM-System"]}, "unknown-method", "'GMM-SYSTEM'"),
+], ids=["code", "relationship", "non-string-tag", "unhashable-tag", "unknown-tag"])
+def test_repeated_problem_gets_a_diagnostic_on_every_line(edge, kind, fragment):
+    # Codes and tag lists are decided once per distinct value; a problem
+    # must still be reported on each line that has it.
+    records, diags = parse_lines(_with_edge("p1", **edge), GOOD_LINE.replace("p1", "p2"),
+                                 _with_edge("p3", **edge))
+    assert [(d.line_no, d.kind) for d in diags] == [(1, kind), (3, kind)]
+    assert all(fragment in d.message for d in diags)
+    assert len(records) == (3 if kind == "unknown-method" else 1)
+
+
+def test_round_trip_of_a_synthetic_corpus_is_byte_identical():
+    from synth import random_corpus, records_to_jsonl
+
+    text = records_to_jsonl(random_corpus(3, n_papers=60, year_lo=1990,
+                                          year_hi=1995, pool_size=12))
+    records, diags = parse_corpus(text.splitlines())
+    assert not diags
+    buf = io.StringIO()
+    serialize_corpus(records, buf)
+    assert buf.getvalue() == text
+    again, _ = parse_corpus(buf.getvalue().splitlines())
+    assert again == records
+
+
 def test_record_to_dict_omits_defaults():
     rec = PaperRecord("p9", 2005)
     d = record_to_dict(rec)

@@ -99,6 +99,29 @@ def test_is_causal_is_not_a_constructor_field():
         ClaimEdge("A1", "B2", methods=("IV",), is_causal=False)
 
 
+def test_claim_edge_is_immutable():
+    edge = ClaimEdge("A1", "B2", methods=("IV",))
+    for name in ("source", "methods", "is_causal", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(edge, name, "X")
+    assert edge == ClaimEdge("A1", "B2", methods=("IV",))
+
+
+def test_claim_edge_equality_and_hash_cover_exactly_six_fields():
+    fields = {"source": "A1", "sink": "B2", "source_text": "from",
+              "sink_text": "to", "methods": ("IV", "OLS"),
+              "relationship": "mediation"}
+    base = ClaimEdge(**fields)
+    same = ClaimEdge(*fields.values())
+    assert same == base and hash(same) == hash(base)
+    assert len({base, same}) == 1
+    for name, value in [("source", "C3"), ("sink", "C3"), ("source_text", ""),
+                        ("sink_text", ""), ("methods", ("IV",)),
+                        ("relationship", "theorized")]:
+        assert ClaimEdge(**{**fields, name: value}) != base, name
+    assert ClaimEdge("A1", "B2") == ClaimEdge("A1", "B2", "", "", (), "correlation")
+
+
 def test_unknown_method_tags_normalized():
     assert unknown_method_tags(["ols", "bayesian vector autoregression"]) == \
         ["BAYESIAN VECTOR AUTOREGRESSION"]
