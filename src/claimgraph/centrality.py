@@ -195,16 +195,16 @@ def paper_centrality_stats(graph: PaperGraph,
 
 def score_corpus(graphs: Sequence[PaperGraph], damping: float = DEFAULT_DAMPING,
                  tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER) -> list[CentralityStats]:
-    """Centrality stats for every paper, each scored against the cumulative
-    graph of strictly earlier years."""
+                 max_iter: int = DEFAULT_MAX_ITER) -> dict[str, CentralityStats]:
+    """Centrality stats keyed by paper_id, each paper scored against the
+    cumulative graph of strictly earlier years."""
     cumulative = CumulativeGraph()
-    stats: list[CentralityStats] = []
+    stats: dict[str, CentralityStats] = {}
     for _, batch in year_batches(graphs):
         eigen = eigenvector_centrality(cumulative, tol=tol, max_iter=max_iter)
         ranks = pagerank(cumulative, damping=damping, tol=tol, max_iter=max_iter)
         for graph in batch:
-            stats.append(paper_centrality_stats(graph, eigen, ranks))
+            stats[graph.paper_id] = paper_centrality_stats(graph, eigen, ranks)
         cumulative.add_papers(batch)
     return stats
 

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import math
 import sys
+from itertools import repeat
 
 from . import centrality as centrality_mod
 from . import cooccurrence as cooccur_mod
@@ -42,7 +43,6 @@ from .pipeline import (
     NOVELTY_VIEWS,
     REGRESSION_COLUMNS,
     TREND_COLUMNS,
-    add_zscores,
     parse_config_file,
     run_pipeline,
 )
@@ -145,12 +145,13 @@ def cmd_gaps(args):
 def cmd_centrality(args):
     records, graphs = _load_graphs(args)
     stats = centrality_mod.score_corpus(graphs, damping=args.damping)
-    by_id = {s.paper_id: s for s in stats}
+    columns = [[getattr(stats[r.paper_id], stat) for r in records]
+               for stat in CENTRALITY_STATS]
     # The row names the view as the flag spells it.
-    rows = [{**by_id[r.paper_id]._asdict(), "view": args.view} for r in records]
-    add_zscores(rows, CENTRALITY_STATS)
     return (CENTRALITY_COLUMNS,
-            ([row[col] for col in CENTRALITY_COLUMNS] for row in rows))
+            zip([r.paper_id for r in records], [r.year for r in records],
+                repeat(args.view), *columns,
+                *map(centrality_mod.standardize, columns)))
 
 
 def cmd_node_series(args):
@@ -162,29 +163,39 @@ def cmd_node_series(args):
     return ["year", "eigen_centrality", "eigen_centrality_minmax"], series
 
 
+def _required_year(cell: str) -> int:
+    year = parse_int(cell)
+    if year is None:
+        raise ValueError("missing year")
+    return year
+
+
+# Cell parsers by column of a measures table; other columns hold floats.
+_REGRESS_PARSERS = {"paper_id": str, "year": _required_year,
+                    "pub_tier": lambda cell: cell or None,
+                    "citations": parse_int,
+                    "outcome_source": lambda cell: cell or None}
+
+
 def cmd_regress(args):
-    rows: list[dict] = []
     entries = read_csv_dicts(args.measures)
     if entries and "year" not in entries[0]:
         raise SchemaError(f"{args.measures}: missing column 'year'")
+    # Every row's columns: a short row holds only the leading ones. Rows are
+    # parsed in file order and each in column order, so the error names the
+    # first bad paper, and its year before its other cells.
+    columns = dict.fromkeys(key for entry in entries for key in entry)
+    table: dict[str, list] = {column: [] for column in {**_REGRESS_PARSERS, **columns}}
     for entry in entries:
-        row: dict = {"paper_id": entry.get("paper_id", ""),
-                     "pub_tier": entry.get("pub_tier") or None,
-                     "outcome_source": entry.get("outcome_source") or None}
         try:
-            row["year"] = parse_int(entry.get("year", ""))
-            if row["year"] is None:
-                raise ValueError("missing year")
-            row["citations"] = parse_int(entry.get("citations", ""))
-            for key, value in entry.items():
-                if key not in row:
-                    row[key] = parse_float(value)
+            for column, values in table.items():
+                parse = _REGRESS_PARSERS.get(column, parse_float)
+                values.append(parse(entry.get(column, "")))
         except ValueError as exc:
-            raise SchemaError(
-                f"{args.measures}: paper {row['paper_id']!r}: {exc}") from None
-        rows.append(row)
+            raise SchemaError(f"{args.measures}: paper "
+                              f"{entry.get('paper_id', '')!r}: {exc}") from None
     specs = load_spec_file(args.specs)
-    results = run_regressions(rows, specs, keep_errors=False)
+    results = run_regressions(table, specs, keep_errors=False)
     header = REGRESSION_COLUMNS[:-1]  # no error column: errors abort
     return header, ([r[c] for c in header] for r in results)
 

@@ -102,12 +102,24 @@ def load_pair_table(fh: TextIO) -> PairCountTable:
     table = PairCountTable(through_year=int(value) if value else None)
     if lines[2] != "code1,code2,count":
         raise ValueError("pair-count table missing column header")
+    rows = list(filter(None, lines[3:]))
+    if rows and table.through_year is None:
+        raise ValueError("pair-count table has counts but no through_year")
     counts = table.counts
-    for line in filter(None, lines[3:]):
+    for line in rows:
         a, b, raw = line.split(",")
         if b < a:
             raise ValueError(f"pair {a},{b} not sorted")
         counts[a, b] = int(raw)
+    # Rows are searched only once a repeated pair or negative count shows.
+    if len(counts) < len(rows) or min(counts.values(), default=0) < 0:
+        seen: set[str] = set()
+        for line in rows:
+            pair, _, raw = line.rpartition(",")
+            if pair in seen or int(raw) < 0:
+                problem = "repeated pair" if pair in seen else "negative count"
+                raise ValueError(f"{problem} in row {line!r}")
+            seen.add(pair)
     return table
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import urllib.request
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -260,6 +259,7 @@ def fetch_remote_embeddings(texts: list[str], url: str | None = None,
     {"vectors": [[...], ...]} with matching length. HTTP and connection
     failures raise OSError subclasses (urllib.error.URLError).
     """
+    import urllib.request  # slow to import, and only this call needs it
     url = url or os.environ.get(ENV_REMOTE_URL)
     if not url:
         raise ValueError(f"remote provider not configured ({ENV_REMOTE_URL} unset)")

@@ -258,6 +258,8 @@ def load_ledger(fh: TextIO) -> LedgerState:
         buckets[tag].update(body.split("\n"))
     for bucket in buckets.values():
         bucket.discard("")
+    if ledger.current_year is None and any(buckets.values()):
+        raise ValueError("ledger has entries but no year")
     return ledger
 
 

@@ -5,12 +5,18 @@ regression battery (or an explicit spec file), aggregates yearly trends, and
 writes CSV tables plus a parameter/digest manifest into the output
 directory. Reruns over identical inputs produce byte-identical directories;
 nothing written here carries a timestamp.
+
+The per-paper measures are one column table, `{column: list}`, with one
+list per MEASURE_COLUMNS column and one entry per paper in input order. The
+scorers fill it, the regressions read it, and the measure CSVs are its
+columns zipped into rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from itertools import chain, repeat
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 from . import __version__
@@ -158,73 +164,52 @@ MEASURE_COLUMNS: list[str] = (
 )
 
 
-def _record_row(record: PaperRecord) -> dict:
-    row = {
-        "paper_id": record.paper_id,
-        "year": record.year,
-        "pub_tier": record.pub_tier,
-        "citations": record.citations,
-        "outcome_source": record.outcome_source or None,
-    }
-    # The first three complexity columns are the claim counts.
-    row.update(zip(COMPLEXITY_COLUMNS, record.claim_counts()))
-    return row
+def _put(table: dict[str, list], columns: list[str], results) -> None:
+    """Set `columns` from results in record order: the columns are the last
+    fields of each result tuple."""
+    for offset, col in enumerate(columns, start=-len(columns)):
+        table[col] = [result[offset] for result in results]
 
 
-def _fill(by_id: dict[str, dict], results, measures, view: str) -> None:
-    """Copy each result's `measures`, the last fields of its tuple, into its
-    paper's row."""
-    cols = _per_view(measures, (view,))
-    first = -len(measures)
-    for result in results:
-        by_id[result.paper_id].update(zip(cols, result[first:]))
-
-
-def _score_view(records: list[PaperRecord], rows: list[dict],
-                by_id: dict[str, dict], view: str, config: PipelineConfig) -> None:
-    """Fill one view's columns from one graph per record. The graphs die
+def _score_view(records: list[PaperRecord], table: dict[str, list], view: str,
+                config: PipelineConfig) -> None:
+    """Set one view's columns from one graph per record. The graphs die
     with this call, so only one view's graphs are alive at a time."""
     graphs = [build_graph(r, view) for r in records]
-    path_cols = _per_view(PATH_MEASURES, (view,))
-    for row, graph in zip(rows, graphs):
-        # Zero-edge papers get missing path measures in every view.
-        values = (path_measures(graph, config.path_cap, config.epsilon)
-                  if row["num_edges"] else (None, None, None))
-        row.update(zip(path_cols, values))
+    # Zero-edge papers get missing path measures in every view.
+    _put(table, _per_view(PATH_MEASURES, (view,)),
+         [path_measures(graph, config.path_cap, config.epsilon)
+          if n_edges else (None, None, None)
+          for graph, n_edges in zip(graphs, table["num_edges"])])
+    ids = table["paper_id"]
     if view in NOVELTY_VIEWS:
         scores, _ = novelty_mod.score_corpus(
             graphs, path_len=config.path_len,
             subgraph_size=config.subgraph_size, subset_cap=config.subset_cap)
-        _fill(by_id, scores.values(), NOVELTY_MEASURES, view)
+        _put(table, _per_view(NOVELTY_MEASURES, (view,)), [scores[pid] for pid in ids])
     if view in GAP_VIEWS:
         gaps, _ = cooccur_mod.score_corpus(graphs, tau=config.tau)
-        col = f"gap_prop_{view}"
-        for paper_id, value in gaps.items():
-            by_id[paper_id][col] = value
+        table[f"gap_prop_{view}"] = [gaps[pid] for pid in ids]
     stats = centrality_mod.score_corpus(
         graphs, damping=config.damping, tol=config.tol, max_iter=config.max_iter)
-    _fill(by_id, stats, CENTRALITY_STATS, view)
+    _put(table, _per_view(CENTRALITY_STATS, (view,)), [stats[pid] for pid in ids])
 
 
-def add_zscores(rows: list[dict], columns) -> None:
-    """Add z_<column> to every row: the column standardized over all rows."""
-    for col in columns:
-        z_col = f"z_{col}"
-        z_vals = centrality_mod.standardize([row[col] for row in rows])
-        for row, z in zip(rows, z_vals):
-            row[z_col] = z
-
-
-def compute_measure_rows(records: list[PaperRecord],
-                         config: PipelineConfig) -> list[dict]:
-    """One wide dict per record, in input order, None marking missing. Every
-    MEASURE_COLUMNS key is set: each view's pass scores every record."""
-    rows = [_record_row(record) for record in records]
-    by_id = {row["paper_id"]: row for row in rows}
+def compute_measure_table(records: list[PaperRecord],
+                          config: PipelineConfig) -> dict[str, list]:
+    """The measures table: one list per MEASURE_COLUMNS column, keyed and
+    ordered as MEASURE_COLUMNS, each holding one value per record in input
+    order, None marking missing. Every view's pass scores every record."""
+    table: dict[str, list] = dict.fromkeys(MEASURE_COLUMNS)
+    # The first eight columns: the record's own fields and its claim counts.
+    _put(table, MEASURE_COLUMNS[:8],
+         [(r.paper_id, r.year, r.pub_tier, r.citations, r.outcome_source or None,
+           *r.claim_counts()) for r in records])
     for view in VIEWS:
-        _score_view(records, rows, by_id, view, config)
-    add_zscores(rows, _per_view(CENTRALITY_STATS, CENTRALITY_VIEWS))
-    return rows
+        _score_view(records, table, view, config)
+    for col in _per_view(CENTRALITY_STATS, CENTRALITY_VIEWS):
+        table[f"z_{col}"] = centrality_mod.standardize(table[col])
+    return table
 
 
 def default_battery() -> list[RegressionSpec]:
@@ -292,33 +277,34 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineRun:
             raise PipelineStageError("merge-outcomes", exc) from exc
 
     try:
-        rows = compute_measure_rows(records, config)
+        table = compute_measure_table(records, config)
     except ClaimGraphError as exc:
         raise PipelineStageError("measures", exc) from exc
 
-    write_csv_dicts(
-        os.path.join(out_dir, "measures.csv"), MEASURE_COLUMNS, rows,
-        comment="one row per paper; empty fields are missing values")
+    def write_columns(name: str, header: list[str], comment: str | None = None):
+        write_csv(os.path.join(out_dir, name), header,
+                  zip(*(table[col] for col in header)), comment=comment)
 
-    write_csv_dicts(os.path.join(out_dir, "novelty.csv"),
-                    ["paper_id", "year", *_per_view(NOVELTY_MEASURES, NOVELTY_VIEWS)],
-                    rows)
-
-    gap_cols = ["paper_id", "year"] + [f"gap_prop_{v}" for v in GAP_VIEWS]
-    write_csv_dicts(os.path.join(out_dir, "gaps.csv"), gap_cols, rows)
-
-    view_cols = [(view, _per_view(CENTRALITY_STATS + Z_STATS, (view,)))
+    write_columns("measures.csv", MEASURE_COLUMNS,
+                  comment="one row per paper; empty fields are missing values")
+    write_columns("novelty.csv", ["paper_id", "year",
+                                  *_per_view(NOVELTY_MEASURES, NOVELTY_VIEWS)])
+    write_columns("gaps.csv", ["paper_id", "year",
+                               *_per_view(("gap_prop",), GAP_VIEWS)])
+    # One row per paper and view: the views' rows of a paper are adjacent.
+    view_rows = [zip(table["paper_id"], table["year"], repeat(view),
+                     *(table[col] for col in
+                       _per_view(CENTRALITY_STATS + Z_STATS, (view,))))
                  for view in CENTRALITY_VIEWS]
     write_csv(os.path.join(out_dir, "centrality.csv"), CENTRALITY_COLUMNS,
-              ([row["paper_id"], row["year"], view, *(row[c] for c in cols)]
-               for row in rows for view, cols in view_cols))
+              chain.from_iterable(zip(*view_rows)))
 
     try:
         if config.specs:
             specs = load_spec_file(config.specs)
-            reg_rows = run_regressions(rows, specs, keep_errors=False)
+            reg_rows = run_regressions(table, specs, keep_errors=False)
         else:
-            reg_rows = run_regressions(rows, default_battery(), keep_errors=True)
+            reg_rows = run_regressions(table, default_battery(), keep_errors=True)
     except ClaimGraphError as exc:
         raise PipelineStageError("regress", exc) from exc
     write_csv_dicts(os.path.join(out_dir, "regressions.csv"),

@@ -152,75 +152,63 @@ def _column(values: list) -> Column:
     return array, defined
 
 
-class _Columns:
-    """A measures table read by column: the years once, each outcome and
-    each measure column once, on first use. Lives for one battery, so rows
-    may change between calls."""
-
-    def __init__(self, rows: list[dict]):
-        self.rows = rows
-        self.years = np.array([int(row["year"]) for row in rows])
-        self._measures: dict[str, Column] = {}
-        self._outcomes: dict[str, Column] = {}
-
-    def measure(self, key: str) -> Column:
-        if key not in self._measures:
-            self._measures[key] = _column([row.get(key) for row in self.rows])
-        return self._measures[key]
-
-    def outcome(self, name: str) -> Column:
-        if name not in self._outcomes:
-            self._outcomes[name] = _outcome_values(self.rows, name)
-        return self._outcomes[name]
-
-
-def _outcome_values(rows: list[dict], outcome: str) -> Column:
-    """Per-row outcome values as a column."""
-    values: list[float | None] = []
+def _outcome_values(table: dict[str, list], outcome: str) -> Column:
+    """Per-paper outcome values as a column."""
     if outcome in TIER_OUTCOMES:
-        for row in rows:
-            values.append(1.0 if row.get("pub_tier") == outcome else 0.0)
+        values = [1.0 if tier == outcome else 0.0 for tier in table["pub_tier"]]
     elif outcome == "LogCitesPlus1":
-        for row in rows:
-            cites = row.get("citations")
-            values.append(None if cites is None else math.log(float(cites) + 1.0))
+        values = [None if cites is None else math.log(float(cites) + 1.0)
+                  for cites in table["citations"]]
     else:
         raise ValueError(f"unknown outcome {outcome!r}")
     return _column(values)
 
 
-def run_spec(rows: list[dict], spec: RegressionSpec) -> RegressionResult:
-    """Estimate one spec on a measures table (list of per-paper dicts).
+def _spec_columns(table: dict[str, list], specs: list[RegressionSpec],
+                  ) -> tuple[np.ndarray, dict[str, Column], dict[str, Column]]:
+    """The years, and each outcome and measure column the specs name, built
+    once. A measure column the table lacks is missing everywhere."""
+    outcomes = {name: _outcome_values(table, name)
+                for name in {spec.outcome for spec in specs}}
+    measures = {column: _column(table.get(column) or [None] * len(table["year"]))
+                for column in {spec.column for spec in specs}}
+    return np.array(table["year"]), outcomes, measures
 
-    Rows missing the outcome or the measure are dropped pairwise. Raises
+
+def run_spec(table: dict[str, list], spec: RegressionSpec) -> RegressionResult:
+    """Estimate one spec on a measures table: a list per column, holding
+    one entry per paper, None where missing.
+
+    Papers missing the outcome or the measure are dropped pairwise. Raises
     when the outcome is underivable or the regressor is collinear with the
     fixed effects.
     """
-    return _fit_spec(_Columns(rows), spec)
+    return _fit_spec(spec, *_spec_columns(table, [spec]))
 
 
-def _fit_spec(table: _Columns, spec: RegressionSpec) -> RegressionResult:
-    """`run_spec` on a table whose columns may already be built."""
-    y, y_defined = table.outcome(spec.outcome)
+def _fit_spec(spec: RegressionSpec, years: np.ndarray, outcomes: dict[str, Column],
+              measures: dict[str, Column]) -> RegressionResult:
+    """`run_spec` on columns already built."""
+    y, y_defined = outcomes[spec.outcome]
     if not y_defined.any():
         raise SchemaError(f"outcome {spec.outcome} underivable: no defined values")
     column = spec.column
-    x, x_defined = table.measure(column)
+    x, x_defined = measures[column]
     usable = y_defined & x_defined
     if not usable.any():
         raise SchemaError(f"no usable rows for {spec.outcome} ~ {column}")
-    result = ols_fit(y[usable], x[usable], table.years[usable],
+    result = ols_fit(y[usable], x[usable], years[usable],
                      fixed_effects=spec.fixed_effects, cluster=spec.cluster)
     return replace(result, outcome=spec.outcome, measure=column)
 
 
-def run_regressions(rows: list[dict], specs: list[RegressionSpec],
+def run_regressions(table: dict[str, list], specs: list[RegressionSpec],
                     keep_errors: bool = True) -> list[dict]:
-    """Run specs in order; with keep_errors, inestimable specs become rows
-    with an error note instead of aborting the run. The years, each
-    outcome and each measure column are built once per call."""
+    """Run specs in order on a measures table (see `run_spec`); with
+    keep_errors, inestimable specs become rows with an error note instead
+    of aborting the run."""
+    columns = _spec_columns(table, specs)
     out: list[dict] = []
-    table = _Columns(rows)
     for spec in specs:
         base = {
             "outcome": spec.outcome, "measure": spec.measure,
@@ -228,7 +216,7 @@ def run_regressions(rows: list[dict], specs: list[RegressionSpec],
             "cluster": spec.cluster,
         }
         try:
-            res = _fit_spec(table, spec)
+            res = _fit_spec(spec, *columns)
         except (CollinearityError, SchemaError) as exc:
             if not keep_errors:
                 raise

@@ -181,3 +181,10 @@ def trend_corpus(papers_per_year=32, claims_per_paper=64,
                 edges=tuple(claims),
             ))
     return records, planted
+
+
+def rows_to_columns(rows: list[dict]) -> dict[str, list]:
+    """Per-paper dicts as a column table: one list per key any row holds,
+    None where a row lacks the key."""
+    keys = dict.fromkeys(key for row in rows for key in row)
+    return {key: [row.get(key) for row in rows] for key in keys}

@@ -41,6 +41,7 @@ from synth import (
     random_corpus,
     records_to_jsonl,
     regression_corpus,
+    rows_to_columns,
     trend_corpus,
 )
 
@@ -110,7 +111,7 @@ def test_regression_estimator_recovery():
         for rep in range(12):
             records = regression_corpus(seed=1000 + rep, n_papers=5000,
                                         beta=0.3)
-            res = run_spec(_log_cites_rows(records), spec)
+            res = run_spec(rows_to_columns(_log_cites_rows(records)), spec)
             assert res.n == 5000
             betas.append(res.beta)
         mc_se = statistics.stdev(betas) / math.sqrt(len(betas))

@@ -162,7 +162,7 @@ def test_score_corpus_uses_strictly_prior_years():
         make_graph([("A1", "B2")], paper_id="second", year=2001),
         make_graph([("C3", "D4")], paper_id="offside", year=2001),
     ]
-    stats = {s.paper_id: s for s in score_corpus(graphs)}
+    stats = score_corpus(graphs)
     # nothing precedes 2000
     assert stats["first"].mean_eigen == 0.0
     # 2001 papers see only the 2000 graph
@@ -173,7 +173,7 @@ def test_score_corpus_uses_strictly_prior_years():
 def test_score_corpus_same_year_papers_do_not_interact():
     twin_a = make_graph([("A1", "B2")], paper_id="a", year=2000)
     twin_b = make_graph([("A1", "B2")], paper_id="b", year=2000)
-    stats = {s.paper_id: s for s in score_corpus([twin_a, twin_b])}
+    stats = score_corpus([twin_a, twin_b])
     assert stats["a"].mean_eigen == 0.0
     assert stats["b"].mean_eigen == 0.0
 
@@ -253,9 +253,8 @@ def test_causal_view_prior_graph_only_sees_causal_edges():
                             pool_size=10, max_claims=6, p_causal=0.5)
     full_graphs = [build_graph(r, "full") for r in records]
     causal_graphs = [build_graph(r, "causal") for r in records]
-    full_stats = {s.paper_id: s for s in score_corpus(full_graphs)}
-    causal_stats = {s.paper_id: s
-                    for s in score_corpus(causal_graphs)}
+    full_stats = score_corpus(full_graphs)
+    causal_stats = score_corpus(causal_graphs)
     assert set(full_stats) == set(causal_stats)
     # causal cumulative graphs are subgraphs, so means cannot be identical
     # across the board unless every claim is causal (vanishingly unlikely)

@@ -89,6 +89,16 @@ def test_failed_command_leaves_no_out_file(tmp_path, landmark_path, capsys,
     assert not out.exists()
 
 
+def test_regress_reads_the_columns_a_short_first_row_lacks(tmp_path, capsys):
+    specs = _write(tmp_path, "s.csv", SPECS)
+    short = MEASURES.replace("\n", "\np0,2000\n", 1)
+    runs = [_main(["regress", "--measures", _write(tmp_path, name, text),
+                   "--specs", specs], capsys)
+            for name, text in (("m.csv", MEASURES), ("short.csv", short))]
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
 # --- a byte that is not UTF-8 is a one-line error naming the file ----------
 
 

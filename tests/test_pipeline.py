@@ -8,16 +8,17 @@ import sys
 import pytest
 
 import claimgraph
-from synth import random_corpus, records_to_jsonl
+from synth import random_corpus, records_to_jsonl, rows_to_columns
 from claimgraph.errors import SchemaError
 from claimgraph.ingest import parse_corpus_file
 from claimgraph.graphs import build_graph
 from claimgraph.novelty import score_corpus as novelty_scores
 from claimgraph.pipeline import (
+    CENTRALITY_VIEWS,
     MEASURE_COLUMNS,
     PipelineConfig,
     PipelineStageError,
-    compute_measure_rows,
+    compute_measure_table,
     default_battery,
     parse_config_text,
     run_pipeline,
@@ -69,7 +70,9 @@ def test_config_requires_corpus():
 def test_measure_rows_agree_with_modules(landmark_records, landmark_path):
     records = list(landmark_records.values())
     config = PipelineConfig(corpus=landmark_path)
-    rows = {r["paper_id"]: r for r in compute_measure_rows(records, config)}
+    table = compute_measure_table(records, config)
+    rows = {pid: {col: values[i] for col, values in table.items()}
+            for i, pid in enumerate(table["paper_id"])}
 
     credit = rows["credit15"]
     assert credit["num_edges"] == 8
@@ -92,7 +95,8 @@ def test_zero_edge_paper_rows_have_missing_everywhere(tmp_path):
     corpus.write_text(json.dumps({"paper_id": "hollow", "year": 2000}) + "\n")
     config = PipelineConfig(corpus=str(corpus))
     records, _ = parse_corpus_file(str(corpus))
-    (row,) = compute_measure_rows(records, config)
+    row = {col: value for col, (value,) in
+           compute_measure_table(records, config).items()}
     assert row["num_edges"] == 0
     assert row["prop_causal_edges"] is None
     assert row["gap_prop_full"] is None
@@ -191,11 +195,12 @@ def test_run_regressions_keep_errors_collects_notes():
                             fixed_effects=False, cluster="none"),
              RegressionSpec("Top5", "prop_causal_edges",
                             fixed_effects=True, cluster="by_year")]
-    results = run_regressions(rows, specs, keep_errors=True)
+    table = rows_to_columns(rows)
+    results = run_regressions(table, specs, keep_errors=True)
     assert results[0]["error"] is None
     assert results[1]["error"]
     with pytest.raises(Exception):
-        run_regressions(rows, specs, keep_errors=False)
+        run_regressions(table, specs, keep_errors=False)
 
 
 # --- synthetic corpus stability ---------------------------------------------
@@ -210,20 +215,20 @@ def test_run_regressions_builds_each_outcome_once(monkeypatch):
     for i, record in enumerate(records):
         record.pub_tier = ("Top5", "Top6to20", "Other")[i % 3]
         record.citations = i % 7
-    rows = compute_measure_rows(records, PipelineConfig())
+    table = compute_measure_table(records, PipelineConfig())
     built = []
 
-    def counting(rows, outcome):
+    def counting(table, outcome):
         built.append(outcome)
-        return _outcome_values(rows, outcome)
+        return _outcome_values(table, outcome)
 
     monkeypatch.setattr(regression_mod, "_outcome_values", counting)
     specs = default_battery()
-    got = run_regressions(rows, specs)
+    got = run_regressions(table, specs)
     assert sorted(built) == sorted({spec.outcome for spec in specs})
     for spec, row in zip(specs, got):
         if row["error"] is None:
-            res = run_spec(rows, spec)
+            res = run_spec(table, spec)
             assert (row["alpha"], row["beta"], row["se_beta"], row["n"],
                     row["r_squared"]) == (res.alpha, res.beta, res.se_beta,
                                           res.n, res.r_squared)
@@ -244,6 +249,59 @@ def test_pipeline_on_synthetic_corpus_is_stable(tmp_path):
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
     measures = read_csv_dicts(str(out_a / "measures.csv"))
     assert len(measures) == 120
+
+
+# --- the column table and its writers ---------------------------------------
+
+
+def test_measure_table_has_one_full_list_per_column():
+    records = random_corpus(9, n_papers=40, year_lo=2000, year_hi=2003,
+                            pool_size=12, max_claims=5)
+    table = compute_measure_table(records, PipelineConfig())
+    assert list(table) == MEASURE_COLUMNS
+    assert all(len(values) == len(records) for values in table.values())
+
+
+# sha256 prefixes of an empty corpus's tables: a header line each, and one
+# error row per default battery spec in regressions.csv.
+EMPTY_RUN_DIGESTS = {
+    "measures.csv": "306c694e05bb44cb",
+    "novelty.csv": "39f592dd174256db",
+    "gaps.csv": "6fe36b27d5327be4",
+    "centrality.csv": "0ee49d7ef29120eb",
+    "regressions.csv": "bdb6cda4490d397a",
+    "trends_year.csv": "96951dd8e55142ee",
+}
+
+
+def test_run_on_an_empty_corpus_writes_headers_and_error_rows(tmp_path):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(corpus=str(corpus)), str(out))
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+               for name in EMPTY_RUN_DIGESTS}
+    assert digests == EMPTY_RUN_DIGESTS
+    regressions = read_csv_dicts(str(out / "regressions.csv"))
+    assert len(regressions) == len(default_battery())
+    assert all(row["error"] for row in regressions)
+
+
+def test_run_reads_back_ids_with_commas_quotes_and_newlines(tmp_path):
+    records = random_corpus(12, n_papers=15, year_lo=2000, year_hi=2002,
+                            pool_size=10, max_claims=5)
+    for record, paper_id in zip(records, ["a,b", 'q"x', "n\ny", ',"\n']):
+        record.paper_id = paper_id
+    corpus = tmp_path / "odd.jsonl"
+    corpus.write_text(records_to_jsonl(records))
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(corpus=str(corpus)), str(out))
+    ids = [r.paper_id for r in records]
+    for name in ("measures.csv", "novelty.csv", "gaps.csv"):
+        assert [row["paper_id"] for row in read_csv_dicts(str(out / name))] == ids
+    centrality = read_csv_dicts(str(out / "centrality.csv"))
+    assert [row["paper_id"] for row in centrality] == [
+        paper_id for paper_id in ids for _ in CENTRALITY_VIEWS]
 
 
 # --- command line -------------------------------------------------------------

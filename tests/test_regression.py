@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import dummy_ols_oracle, full_sandwich_oracle, plain_ols_oracle
+from synth import rows_to_columns
 from claimgraph.errors import CollinearityError, SchemaError
 from claimgraph.regression import (
     RegressionSpec,
@@ -156,7 +157,7 @@ def measure_rows():
 def test_run_spec_log_outcome_drops_missing_rows():
     rows = measure_rows()
     spec = RegressionSpec(outcome="LogCitesPlus1", measure="prop_causal_edges")
-    res = run_spec(rows, spec)
+    res = run_spec(rows_to_columns(rows), spec)
     usable = [r for r in rows if r["citations"] is not None]
     assert res.n == len(usable)
     # small-n sanity band only; recovery precision is covered elsewhere
@@ -167,7 +168,7 @@ def test_run_spec_tier_outcome_is_lpm_with_zeros():
     rows = measure_rows()
     spec = RegressionSpec(outcome="Top5", measure="prop_causal_edges",
                           fixed_effects=False, cluster="none")
-    res = run_spec(rows, spec)
+    res = run_spec(rows_to_columns(rows), spec)
     # every row usable: non-Top5 tiers enter as zeros
     assert res.n == len(rows)
 
@@ -176,7 +177,7 @@ def test_run_spec_view_suffix_selects_column():
     rows = measure_rows()
     spec = RegressionSpec(outcome="LogCitesPlus1", measure="gap_prop",
                           view="full")
-    res = run_spec(rows, spec)
+    res = run_spec(rows_to_columns(rows), spec)
     assert res.measure == "gap_prop_full"
     usable = [r for r in rows
               if r["citations"] is not None and r["gap_prop_full"] is not None]
@@ -187,16 +188,16 @@ def test_run_spec_missing_outcome_everywhere_raises():
     rows = [{"paper_id": "p", "year": 2000, "citations": None,
              "prop_causal_edges": 0.5}]
     with pytest.raises(SchemaError):
-        run_spec(rows, RegressionSpec(outcome="LogCitesPlus1",
-                                      measure="prop_causal_edges"))
+        run_spec(rows_to_columns(rows),
+                 RegressionSpec(outcome="LogCitesPlus1", measure="prop_causal_edges"))
 
 
 def test_run_spec_no_usable_rows_raises():
     rows = [{"paper_id": "p", "year": 2000, "pub_tier": "Top5",
              "citations": 4, "prop_causal_edges": None}]
     with pytest.raises(SchemaError):
-        run_spec(rows, RegressionSpec(outcome="LogCitesPlus1",
-                                      measure="prop_causal_edges"))
+        run_spec(rows_to_columns(rows),
+                 RegressionSpec(outcome="LogCitesPlus1", measure="prop_causal_edges"))
 
 
 def _reference_fit(rows, spec):
@@ -223,12 +224,13 @@ def test_run_spec_passes_ols_fit_the_row_loop_arrays():
     rng = random.Random(3)
     for row in rows:
         row["path_count"] = None if rng.random() < 0.2 else rng.randrange(50)
+    table = rows_to_columns(rows)
     for outcome in ("LogCitesPlus1", "Top5"):
         for measure in ("prop_causal_edges", "gap_prop_full", "path_count"):
             for fe, cluster in ((True, "by_year"), (False, "none")):
                 spec = RegressionSpec(outcome=outcome, measure=measure,
                                       fixed_effects=fe, cluster=cluster)
-                got = run_spec(rows, spec)
+                got = run_spec(table, spec)
                 want = _reference_fit(rows, spec)
                 assert (got.alpha, got.beta, got.se_beta, got.n, got.r_squared) \
                     == (want.alpha, want.beta, want.se_beta, want.n,

@@ -2,7 +2,7 @@
 
 Resuming from a saved state must give what one pass over the whole corpus
 gives, and the loaders must accept and reject exactly what the line-by-line
-loaders below did.
+loaders below do.
 """
 
 import os
@@ -101,6 +101,8 @@ def reference_load_ledger(fh):
                 raise ValueError(f"unknown ledger header {key!r}")
         else:
             buckets[section].add(line)
+    if ledger.current_year is None and any(buckets.values()):
+        raise ValueError("ledger has entries but no year")
     return ledger
 
 
@@ -114,13 +116,23 @@ def reference_load_pair_table(fh):
     table = cooccurrence.PairCountTable(through_year=int(value) if value else None)
     if lines[2] != "code1,code2,count":
         raise ValueError("pair-count table missing column header")
-    for line in lines[3:]:
-        if not line:
-            continue
+    rows = [line for line in lines[3:] if line]
+    if rows and table.through_year is None:
+        raise ValueError("pair-count table has counts but no through_year")
+    for line in rows:
         a, b, raw = line.split(",")
         if b < a:
             raise ValueError(f"pair {a},{b} not sorted")
         table.counts[(a, b)] = int(raw)
+    # Count errors are looked for once every row parses.
+    seen = set()
+    for line in rows:
+        a, b, raw = line.split(",")
+        if (a, b) in seen:
+            raise ValueError(f"repeated pair in row {line!r}")
+        if int(raw) < 0:
+            raise ValueError(f"negative count in row {line!r}")
+        seen.add((a, b))
     return table
 
 
@@ -184,7 +196,8 @@ def test_ledger_loader_matches_line_loop(name, newline):
     assert isinstance(got, novelty.LedgerState) == (
         name not in {"missing-magic", "empty", "unknown-header", "bad-path-len",
                      "unknown-section", "other-magic", "empty-section-name",
-                     "path-len-out-of-range", "subgraph-size-out-of-range"})
+                     "path-len-out-of-range", "subgraph-size-out-of-range",
+                     "section-before-header"})
 
 
 TABLE = (f"{cooccurrence.TABLE_MAGIC}\nthrough_year=1999\ncode1,code2,count\n"
@@ -195,6 +208,9 @@ TABLE_CASES = {
     "blank-lines": TABLE.replace("A1,C3", "\nA1,C3") + "\n\n",
     "empty-year": f"{cooccurrence.TABLE_MAGIC}\nthrough_year=\ncode1,code2,count\n",
     "repeated-pair": TABLE + "A1,B2,5\n",
+    "negative-count": TABLE + "A1,D4,-3\n",
+    "counts-without-year": (f"{cooccurrence.TABLE_MAGIC}\nthrough_year=\n"
+                            "code1,code2,count\nA1,B2,3\n"),
     "items-with-=-and-[": TABLE + "A=1,B[2,4\n",
     "only-magic": f"{cooccurrence.TABLE_MAGIC}\n",
     "no-column-header": f"{cooccurrence.TABLE_MAGIC}\nthrough_year=2000\n",
@@ -218,7 +234,7 @@ def test_pair_table_loader_matches_line_loop(name, newline):
                         reference_load_pair_table, newline)
     assert isinstance(got, cooccurrence.PairCountTable) == (
         name in {"saved", "no-final-newline", "blank-lines", "empty-year",
-                 "repeated-pair", "items-with-=-and-["})
+                 "items-with-=-and-["})
 
 
 # Lines either loader treats specially, mixed at random.
@@ -227,7 +243,7 @@ LEDGER_LINES = [novelty.LEDGER_MAGIC, "", "year=2000", "year=", "path_len=2",
                 "[signatures]", "[motifs]", "[]", "A1->B2", "[x", "x]", "a=b", " "]
 TABLE_LINES = [cooccurrence.TABLE_MAGIC, "", "through_year=2000", "through_year=",
                "code1,code2,count", "A1,B2,1", "B2,C3,7", "B2,A1,1", "A1,B2",
-               "A1,B2,x", "[edges]", "a=b,c,1"]
+               "A1,B2,x", "A1,C3,-2", "[edges]", "a=b,c,1"]
 
 
 @settings(max_examples=200, deadline=None)
