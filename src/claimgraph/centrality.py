@@ -16,12 +16,18 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateSeriesError
+from .errors import ConvergenceError, DegenerateSeriesError, SchemaError
 from .graphs import PaperGraph, year_batches
 
 DEFAULT_DAMPING = 0.85
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
+
+
+def check_damping(name: str, damping: float, line_no: int | None = None) -> None:
+    """Raise SchemaError unless 0 <= damping < 1 (not NaN): PageRank's range."""
+    if not 0.0 <= damping < 1.0:
+        raise SchemaError(f"{name} must be in [0, 1), got {damping}", line_no=line_no)
 
 
 @dataclass

@@ -143,6 +143,7 @@ def cmd_gaps(args):
 
 
 def cmd_centrality(args):
+    centrality_mod.check_damping("--damping", args.damping)
     records, graphs = _load_graphs(args)
     stats = centrality_mod.score_corpus(graphs, damping=args.damping)
     columns = [[getattr(stats[r.paper_id], stat) for r in records]
@@ -179,13 +180,13 @@ _REGRESS_PARSERS = {"paper_id": str, "year": _required_year,
 
 def cmd_regress(args):
     entries = read_csv_dicts(args.measures)
-    if entries and "year" not in entries[0]:
+    # Every row holds every header key, in header order. Rows are parsed in
+    # file order and each in column order, so the error names the first bad
+    # paper, and its year before its other cells.
+    header = entries[0] if entries else {}
+    if header and "year" not in header:
         raise SchemaError(f"{args.measures}: missing column 'year'")
-    # Every row's columns: a short row holds only the leading ones. Rows are
-    # parsed in file order and each in column order, so the error names the
-    # first bad paper, and its year before its other cells.
-    columns = dict.fromkeys(key for entry in entries for key in entry)
-    table: dict[str, list] = {column: [] for column in {**_REGRESS_PARSERS, **columns}}
+    table: dict[str, list] = {column: [] for column in {**_REGRESS_PARSERS, **header}}
     for entry in entries:
         try:
             for column, values in table.items():

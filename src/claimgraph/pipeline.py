@@ -144,6 +144,8 @@ def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
                                   line_no=line_no) from None
             if key in _RANGES:
                 check_range(key, getattr(config, key), _RANGES[key], line_no)
+            elif key == "damping":
+                centrality_mod.check_damping(key, config.damping, line_no)
     if not config.corpus:
         raise SchemaError("config is missing corpus=")
     return config

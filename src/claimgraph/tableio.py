@@ -1,42 +1,30 @@
 """CSV reading and writing with deterministic formatting.
 
-All output tables are UTF-8, carry a header row, use RFC-style quoting, and
-encode missing values as empty fields. Floats are written with repr-shortest
-formatting so reruns are byte-identical.
+All output tables are UTF-8, carry a header row and use RFC-style quoting.
+The `csv` module formats every cell: None as an empty field (a missing
+value) and a float as its shortest repr, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import os
+from itertools import dropwhile
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import SchemaError
 
 
-# Cell formatters by exact type, for the types tables hold; any other type,
-# numpy scalars included, is written with `str`.
-_FORMATTERS = {
-    type(None): lambda value: "",
-    bool: lambda value: "1" if value else "0",
-    float: float.__repr__,
-    int: int.__repr__,
-    str: str,
-}
-
-
 def format_cell(value) -> str:
-    return _FORMATTERS.get(type(value), str)(value)
+    """A cell as `write_rows` writes it: None as empty, else `str`."""
+    return "" if value is None else str(value)
 
 
 def write_rows(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(header)
-    formatter = _FORMATTERS.get
-    for row in rows:
-        writer.writerow([formatter(type(v), str)(v) for v in row])
+    writer.writerows(rows)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
@@ -47,10 +35,8 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
         write_rows(fh, header, rows)
 
 
-def write_csv_dicts(path: str, header: Sequence[str], rows: Iterable[dict],
-                    comment: str | None = None) -> None:
-    write_csv(path, header, ([row.get(col) for col in header] for row in rows),
-              comment=comment)
+def write_csv_dicts(path: str, header: Sequence[str], rows: Iterable[dict]) -> None:
+    write_csv(path, header, ([row.get(col) for col in header] for row in rows))
 
 
 @contextlib.contextmanager
@@ -66,13 +52,16 @@ def open_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
 
 
 def read_csv_dicts(path: str) -> list[dict[str, str]]:
-    """A CSV written by this module as header-keyed rows; '#' lines skipped."""
+    """A CSV as header-keyed rows, after blank and '#' lines before the
+    header. A short row's missing cells are empty; a longer row raises."""
     with open_text(path, newline="") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
-    header, *rows = [row for row in reader if row] or [[]]
-    return [dict(zip(header, row)) for row in rows]
+        lines = dropwhile(lambda line: not line.strip() or line.startswith("#"), fh)
+        rows = list(csv.DictReader(lines, restval=""))
+    for row in rows:
+        if None in row:  # DictReader's key for the cells past the header
+            raise SchemaError(f"{path}: row {next(iter(row.values()))!r} "
+                              "has more cells than the header")
+    return rows
 
 
 def parse_float(cell: str) -> float | None:

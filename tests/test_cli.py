@@ -99,6 +99,51 @@ def test_regress_reads_the_columns_a_short_first_row_lacks(tmp_path, capsys):
     assert runs[1] == runs[0]
 
 
+def test_regress_takes_its_columns_from_the_header(tmp_path, capsys):
+    # The header has `year`; the first row is too short to hold one.
+    measures = _write(tmp_path, "m.csv", MEASURES.replace("\n", "\np0\n", 1))
+    code, stdout, err = _main(["regress", "--measures", measures,
+                               "--specs", _write(tmp_path, "s.csv", SPECS)], capsys)
+    assert (code, stdout, err) == (
+        1, "", f"claimgraph: {measures}: paper 'p0': missing year\n")
+
+
+def test_regress_rejects_a_row_longer_than_the_header(tmp_path, capsys):
+    measures = _write(tmp_path, "m.csv", MEASURES.replace("0.25", "0.25,9"))
+    code, stdout, err = _main(["regress", "--measures", measures,
+                               "--specs", _write(tmp_path, "s.csv", SPECS)], capsys)
+    assert (code, stdout, err) == (
+        1, "", f"claimgraph: {measures}: row 'p2' has more cells than the header\n")
+
+
+# --- PageRank's damping lies in [0, 1), checked before any work ------------
+
+
+@pytest.mark.parametrize("value", ["1.5", "1.0", "nan", "-0.1"])
+def test_damping_outside_its_range_is_rejected_before_any_work(
+        tmp_path, landmark_path, capsys, value):
+    config = _write(tmp_path, "run.cfg", f"corpus={landmark_path}\ndamping = {value}\n")
+    out = tmp_path / "run"
+    shown = float(value)
+    assert _main(["run", "--config", config, "--out", str(out)], capsys) == (
+        1, "", f"claimgraph: line 2: damping must be in [0, 1), got {shown}\n")
+    assert not out.exists()
+    assert _main(["centrality", "--corpus", landmark_path, "--damping", value],
+                 capsys) == (
+        1, "", f"claimgraph: --damping must be in [0, 1), got {shown}\n")
+
+
+def test_damping_zero_is_valid(tmp_path, landmark_path, capsys):
+    config = _write(tmp_path, "run.cfg", f"corpus={landmark_path}\ndamping = 0\n")
+    code, _, err = _main(["run", "--config", config, "--out", str(tmp_path / "run")],
+                         capsys)
+    assert code == 0, err
+    code, stdout, err = _main(["centrality", "--corpus", landmark_path,
+                               "--damping", "0"], capsys)
+    assert (code, err) == (0, "")
+    assert stdout.count("\n") == 5
+
+
 # --- a byte that is not UTF-8 is a one-line error naming the file ----------
 
 

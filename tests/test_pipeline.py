@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import claimgraph
+from claimgraph import cli
 from synth import random_corpus, records_to_jsonl, rows_to_columns
 from claimgraph.errors import SchemaError
 from claimgraph.ingest import parse_corpus_file
@@ -302,6 +303,32 @@ def test_run_reads_back_ids_with_commas_quotes_and_newlines(tmp_path):
     centrality = read_csv_dicts(str(out / "centrality.csv"))
     assert [row["paper_id"] for row in centrality] == [
         paper_id for paper_id in ids for _ in CENTRALITY_VIEWS]
+
+
+def test_regress_on_run_measures_fits_every_paper_run_fits(tmp_path):
+    records = random_corpus(13, n_papers=12, year_lo=2000, year_hi=2002,
+                            pool_size=10, max_claims=5)
+    for record, paper_id in zip(records, ["#p1", "x\n#y", "a\r\nb"]):
+        record.paper_id = paper_id
+    for i, record in enumerate(records):
+        record.citations = i
+    corpus = tmp_path / "odd.jsonl"
+    corpus.write_text(records_to_jsonl(records))
+    specs = tmp_path / "specs.csv"
+    specs.write_text("outcome,measure,view,fe,cluster\n"
+                     "LogCitesPlus1,prop_causal_edges,,0,none\n"
+                     "LogCitesPlus1,num_unique_paths,full,1,by_year\n")
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(corpus=str(corpus), specs=str(specs)), str(out))
+    measures = read_csv_dicts(str(out / "measures.csv"))
+    assert [row["paper_id"] for row in measures] == [r.paper_id for r in records]
+    refit = tmp_path / "refit.csv"
+    assert cli.main(["regress", "--measures", str(out / "measures.csv"),
+                     "--specs", str(specs), "--out", str(refit)]) == 0
+    fitted = read_csv_dicts(str(out / "regressions.csv"))
+    assert [row.pop("error") for row in fitted] == ["", ""]
+    assert read_csv_dicts(str(refit)) == fitted
+    assert [row["n"] for row in fitted] == ["12", "12"]
 
 
 # --- command line -------------------------------------------------------------
