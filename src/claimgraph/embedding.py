@@ -23,17 +23,11 @@ from .tableio import open_text
 ENV_REMOTE_URL = "CLAIMGRAPH_EMBED_URL"
 ENV_REMOTE_TOKEN = "CLAIMGRAPH_EMBED_TOKEN"
 
-# Rows whose norm lies outside [2**-450, 2**450], or every row when the
-# query's norm does, skip pruning and are always scored exactly: inside the
-# range no square, product, dot product or norm product can underflow or
-# overflow, which the margin below assumes.
-_NORM_RANGE = (2.0 ** -450, 2.0 ** 450)
-
 
 @dataclass
 class EmbeddingIndex:
-    """Embedding vectors for candidate concept codes: one n x d float64
-    matrix and each row's norm, computed once as `cosine_similarity` does."""
+    """Embedding vectors for candidate concept codes: one n x d matrix of
+    `_scale`d float64 rows and each row's norm as `cosine_similarity` has it."""
 
     ids: list[str]
     matrix: np.ndarray
@@ -50,15 +44,16 @@ class EmbeddingIndex:
         return _build(((entry_id, vec, None) for entry_id, vec in rows), source)
 
 
+def _scale(vec: np.ndarray) -> np.ndarray:
+    """Scale `vec` in place by the power of two that puts its largest |entry|
+    in [0.5, 1), which changes no cosine; returns `vec`."""
+    _, exponent = np.frexp(np.abs(vec).max())
+    return np.ldexp(vec, -exponent, out=vec)
+
+
 def _vector_norm(vec: np.ndarray) -> float:
-    """Norm as `cosine_similarity` computes it: the exact sum of the rounded
-    squares, or inf when that sum overflows."""
-    with np.errstate(over="ignore"):
-        squares = (vec * vec).tolist()
-    try:
-        return math.sqrt(math.fsum(squares))
-    except OverflowError:
-        return math.inf
+    """Norm of a scaled vector, as `cosine_similarity` computes it."""
+    return math.sqrt(math.fsum((vec * vec).tolist()))
 
 
 def _defect(vec: np.ndarray, norm: float) -> str | None:
@@ -67,8 +62,6 @@ def _defect(vec: np.ndarray, norm: float) -> str | None:
         return "non-finite value"
     if norm == 0.0:
         return "zero vector"
-    if math.isinf(norm):
-        return "norm overflows"
     return None
 
 
@@ -103,7 +96,7 @@ def _build(rows: Iterable[tuple[str, Iterable[float], int | None]],
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
     norms = np.empty(len(ids))
     for k, row in enumerate(matrix):
-        norms[k] = _vector_norm(row)
+        norms[k] = _vector_norm(_scale(row))
         problem = _defect(row, norms[k])
         if problem is not None:
             raise SchemaError(f"{source}: {problem} for {ids[k]!r}",
@@ -151,16 +144,17 @@ def _cosine(dot: float, norm_a: float, norm_b: float) -> float:
 def cosine_similarity(a: list[float], b: list[float]) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1].
 
-    Invariant under positive rescaling of either argument. Zero vectors are
-    rejected rather than given an arbitrary score. This is the reference the
-    matchers below reproduce bit for bit.
+    Invariant under positive rescaling of either argument. Zero and
+    non-finite vectors are rejected rather than given an arbitrary score.
+    This is the reference the matchers below reproduce bit for bit.
     """
     if len(a) != len(b):
         raise SchemaError(f"dimension mismatch: {len(a)} != {len(b)}")
+    a, b = (_scale(np.array(v, dtype=np.float64)).tolist() for v in (a, b))
     norm_a = _norm(a)
     norm_b = _norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
+    if not 0.0 < norm_a * norm_b < math.inf:  # NaN and inf carry into norms
+        raise ValueError("cosine similarity undefined for zero or non-finite vectors")
     return _cosine(_dot(a, b), norm_a, norm_b)
 
 
@@ -176,44 +170,40 @@ class _Scorer:
     `cosine_similarity` of the pair; the BLAS pass only picks which rows to
     score.
 
-    Margin on |approximate - exact| cosine, for finite rows and query with
-    norms in `_NORM_RANGE`, u = 2**-53 (Higham, "Accuracy and Stability of
+    Margin on |approximate - exact| cosine, for finite non-zero rows and
+    query scaled by `_scale`, u = 2**-53 (Higham, "Accuracy and Stability of
     Numerical Algorithms", 2nd ed., section 3.1):
+    - Scaled entries lie below 1, each vector's largest at least 1/2, so
+      nothing overflows and |x||y| >= 1/4; an underflow errs by <= 2**-1075.
     - `matrix @ q` sums d products in any order, with or without FMA, within
       gamma_d * sum|x_i y_i| <= gamma_d * |x||y| of the true dot product,
       gamma_d = d*u / (1 - d*u).
     - The exact score's fsum of the rounded products is within 2u * |x||y|.
     - Both divide by the same rounded norm product, within (1 + 5u) of
       |x||y|, and each division rounds once more, by u at most.
-    So the two cosines differ by at most (d + 4)*u plus second-order terms;
-    four times that covers those. Clamping to [-1, 1] only narrows the gap.
+    So the two cosines differ by at most (d + 4)*u plus smaller terms; four
+    times that covers those. Clamping to [-1, 1] only narrows the gap.
     """
 
     def __init__(self, query, index: EmbeddingIndex, query_id: str):
-        q = np.asarray(query, dtype=np.float64)
+        q = np.array(query, dtype=np.float64)
         if q.shape != (index.dim,):
             raise SchemaError(f"query {query_id!r}: dimension mismatch: "
                               f"{q.size} != {index.dim}")
-        norm = _vector_norm(q)
+        norm = _vector_norm(_scale(q))
         problem = _defect(q, norm)
         if problem is not None:
             raise SchemaError(f"query {query_id!r}: {problem}")
-        low, high = _NORM_RANGE
         self.q, self.norm, self.index = q, norm, index
         self.margin = 4 * (index.dim + 4) * 2.0 ** -53
-        self.covered = (index.norms >= low) & (index.norms <= high) \
-            & (low <= norm <= high)
-        with np.errstate(all="ignore"):
-            self.approx = np.clip(index.matrix @ q / (index.norms * norm), -1.0, 1.0)
+        self.approx = np.clip(index.matrix @ q / (index.norms * norm), -1.0, 1.0)
 
     def rows_at_least(self, floor: float) -> np.ndarray:
         """Every row whose exact score may reach `floor`."""
-        return np.flatnonzero(~self.covered | (self.approx >= floor - self.margin))
+        return np.flatnonzero(self.approx >= floor - self.margin)
 
     def exact(self, k: int) -> float:
-        with np.errstate(over="ignore"):
-            products = (self.index.matrix[k] * self.q).tolist()
-        dot = math.fsum(products)
+        dot = math.fsum((self.index.matrix[k] * self.q).tolist())
         return _cosine(dot, self.norm, float(self.index.norms[k]))
 
 
@@ -225,10 +215,9 @@ def match_concept(query: list[float], index: EmbeddingIndex,
     are insensitive to index row order.
     """
     scorer = _Scorer(query, index, query_id)
-    # The covered row with the highest approximate score scores at least
-    # that minus the margin exactly, so no covered row below that minus a
-    # further margin can be best.
-    top = scorer.approx[scorer.covered].max(initial=-np.inf)
+    # The row with the top approximate score scores at least that minus the
+    # margin exactly, so no row more than two margins below it can be best.
+    top = scorer.approx.max()
     neg_score, code = min((-scorer.exact(k), index.ids[k])
                           for k in scorer.rows_at_least(top - scorer.margin))
     return Match(query_id=query_id, code=code, score=-neg_score)

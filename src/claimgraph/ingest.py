@@ -87,11 +87,21 @@ def _parse_edge(obj: dict) -> ClaimEdge:
                      str(obj.get("sink_text", "")), methods, relationship)
 
 
+def _csv_text(name: str, value) -> str:
+    # `measures.csv` carries the text, and `csv` quotes only cells holding a
+    # line feed, so a lone carriage return would split the row read back.
+    text = str(value)
+    if value is None or isinstance(value, (list, dict)) or (
+            "\r" in text and "\n" not in text):
+        raise ValueError(f"{name} must be a string or number with no lone \\r: {value!r}")
+    return text
+
+
 def _parse_record(obj: dict, min_year: int, max_year: int) -> PaperRecord:
     if not isinstance(obj, dict):
         raise ValueError("record must be an object")
     try:
-        paper_id = str(obj["paper_id"])
+        paper_id = _csv_text("paper_id", obj["paper_id"])
         year = obj["year"]
     except KeyError as exc:
         raise ValueError(f"record missing {exc.args[0]!r}") from None
@@ -125,7 +135,7 @@ def _parse_record(obj: dict, min_year: int, max_year: int) -> PaperRecord:
         title=title,
         pub_tier=pub_tier,
         citations=citations,
-        outcome_source=str(obj.get("outcome_source", "")),
+        outcome_source=_csv_text("outcome_source", obj.get("outcome_source", "")),
     )
 
 

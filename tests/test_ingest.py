@@ -82,6 +82,32 @@ def test_strict_mode_raises_with_line_number():
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("paper_id", "a\rb"), ("paper_id", None), ("paper_id", ["p1"]),
+    ("paper_id", {"id": "p1"}), ("outcome_source", "a\rb"),
+    ("outcome_source", None),
+], ids=["id-lone-cr", "id-null", "id-list", "id-object", "source-lone-cr",
+        "source-null"])
+def test_text_measures_csv_cannot_carry_is_rejected(key, value):
+    """`measures.csv` carries both strings. `csv` quotes a cell only when it
+    holds a line feed, so a lone carriage return would split its row."""
+    line = json.dumps({**json.loads(GOOD_LINE), key: value})
+    records, diags = parse_lines(GOOD_LINE.replace("p1", "p0"), line)
+    assert [(d.line_no, d.kind) for d in diags] == [(2, "schema")]
+    assert len(records) == 1 and key in diags[0].message
+    with pytest.raises(SchemaError, match=key) as err:
+        parse_lines(GOOD_LINE.replace("p1", "p0"), line, strict=True)
+    assert err.value.line_no == 2
+
+
+def test_ids_csv_quotes_and_integer_ids_are_kept():
+    kept = [json.dumps({"paper_id": pid, "year": 2001})
+            for pid in ("a\r\nb", "x\n#y", 7)]
+    records, diags = parse_lines(*kept, strict=True)
+    assert [r.paper_id for r in records] == ["a\r\nb", "x\n#y", "7"]
+    assert not diags
+
+
 def test_duplicate_ids_reported_with_both_lines():
     records, diags = parse_lines(GOOD_LINE, GOOD_LINE)
     assert len(records) == 1

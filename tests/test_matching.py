@@ -14,7 +14,6 @@ from claimgraph import cli
 from claimgraph.embedding import (
     EmbeddingIndex,
     Match,
-    _Scorer,
     cosine_similarity,
     fetch_remote_embeddings,
     load_embedding_table,
@@ -37,8 +36,11 @@ def test_cosine_clamps_rounding_overshoot():
 
 
 def test_cosine_rejects_zero_vector_and_dim_mismatch():
-    with pytest.raises(ValueError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
+    for bad in ([0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(ValueError):
+            cosine_similarity(bad, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            cosine_similarity([1.0, 0.0], bad)
     with pytest.raises(SchemaError):
         cosine_similarity([1.0], [1.0, 0.0])
 
@@ -169,9 +171,9 @@ def assert_matches_reference(query, rows):
             bits(reference_all(query, rows, t, "q")), t
 
 
-# Powers of two that put a norm inside, at and beyond the bounds of the
-# range the pruning's error margin covers, 2**-450..2**450.
-NORM_EXPONENTS = [-500, -451, -450, -449, 0, 0, 0, 449, 450, 451, 500]
+# Powers of two from norms whose squares underflow to norms whose squares
+# overflow: every vector is scaled to the same range before it is scored.
+NORM_EXPONENTS = [-1000, -600, -500, -450, 0, 0, 0, 450, 500, 600, 1000]
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,7 +192,7 @@ def test_pruned_matching_equals_exhaustive_reference(
         dim, n_base, seed, variants, query_from, query_exponent):
     """Duplicates and rows scaled by 3 or by 1 +- 2**-52 make exact and
     one-ulp ties; the thresholds sit at each exact score and one ulp either
-    side; norms near and past 2**+-450 take the always-exact path."""
+    side; norms run from about 2**-1000 to 2**1000."""
     rng = np.random.default_rng(seed)
     base = [rng.standard_normal(dim) for _ in range(n_base)]
     vectors = list(base)
@@ -221,26 +223,23 @@ def test_pruned_matching_on_near_duplicate_index():
             assert_matches_reference(query.tolist(), rows)
 
 
-def test_rows_outside_the_margins_norm_range_are_always_scored():
-    """The margin holds only while no square, product or norm product
-    underflows or overflows, so rows with a norm outside 2**-450..2**450,
-    and every row of a query with such a norm, are scored exactly even when
-    no score could reach the floor."""
-    rows = [("A1", [1.0, 0.0]), ("B2", [2.0 ** 451, 0.0]),
-            ("C3", [0.0, 2.0 ** -451]), ("D4", [2.0 ** 449, 2.0 ** 449]),
-            ("E5", [2.0 ** -449, 0.0])]
-    index = EmbeddingIndex.from_rows(rows)
-    assert _Scorer([1.0, 1.0], index, "q").rows_at_least(2.0).tolist() == [1, 2]
-    for query in ([2.0 ** 451, 1.0], [2.0 ** -451, 0.0]):
-        assert _Scorer(query, index, "q").rows_at_least(2.0).tolist() == \
-            [0, 1, 2, 3, 4]
+@pytest.mark.parametrize("a, b, true", [
+    ([3e-162, 1e-162], [1e-162, 2e-162], 1 / math.sqrt(2)),
+    ([1e-170, 0.0], [1.0, 1.0], 1 / math.sqrt(2)),
+    ([1e200, 1e200], [1.0, 1.0], 1.0),
+], ids=["squares-underflow", "square-underflows-to-zero", "squares-overflow"])
+def test_extreme_norms_get_their_true_cosine(a, b, true):
+    """Squaring these vectors unscaled underflows or overflows; as rows and
+    as queries they are accepted and score their true cosine."""
+    assert cosine_similarity(a, b) == pytest.approx(true, rel=1e-15)
+    assert_matches_reference(a, [("A1", b), ("B2", [0.0, 1.0])])
+    assert_matches_reference(b, [("A1", a), ("B2", [0.0, 1.0])])
 
 
 @pytest.mark.parametrize("vec, problem", [
     ([0.0, 0.0], "zero vector for 'B2'"),
     ([math.nan, 1.0], "non-finite value for 'B2'"),
     ([1.0, math.inf], "non-finite value for 'B2'"),
-    ([1e200, 1e200], "norm overflows for 'B2'"),
 ])
 def test_index_rejects_vectors_without_a_cosine(vec, problem):
     with pytest.raises(SchemaError, match=problem):

@@ -707,6 +707,24 @@ def test_cli_boundary_errors_are_one_line(tmp_path, make_argv, message):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_path_cap_error_names_the_first_paper_in_input_order(tmp_path):
+    """Both papers exceed the cap; `late` comes first in the file but second
+    by year, and the error names it."""
+    def paper(paper_id, year, pairs):
+        return json.dumps({"paper_id": paper_id, "year": year, "edges": [
+            {"source_code": s, "sink_code": t} for s, t in pairs]})
+    corpus = tmp_path / "caps.jsonl"
+    corpus.write_text(
+        paper("late", 2005, [("A1", "B2"), ("B2", "C3"), ("A1", "C3")]) + "\n"
+        + paper("early", 2001, [("A1", "B2"), ("B2", "C3"), ("C3", "D4")]) + "\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus={corpus}\npath_cap=3\n")
+    proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   expect=1)
+    assert proc.stderr == ("claimgraph: stage 'measures' failed: path "
+                           "enumeration exceeded cap 3 for paper 'late'\n")
+
+
 @pytest.mark.parametrize("flags", [[], ["--path-len", "2"],
                                    ["--subgraph-size", "2", "--path-len", "2"]])
 def test_cli_novelty_resume_takes_ledger_parameters(tmp_path, flags):
