@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ConvergenceError, DegenerateSeriesError, SchemaError
 from .graphs import PaperGraph, year_batches
+
+# numpy is imported by the functions that compute with it, so the commands
+# that score no centrality start without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_DAMPING = 0.85
 DEFAULT_TOL = 1e-10
@@ -44,10 +47,11 @@ class CumulativeGraph:
     edges: set[tuple[str, str]] = field(default_factory=set)
     _names: list[str] = field(default_factory=list, init=False, repr=False,
                               compare=False)
-    _keys: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64),
-                              init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+        self._keys = np.empty(0, np.int64)
         self._index(self.nodes, self.edges)
 
     def add_papers(self, papers: Iterable[PaperGraph]) -> None:
@@ -64,6 +68,7 @@ class CumulativeGraph:
 
     def _index(self, new_nodes: set[str], new_edges: set[tuple[str, str]]) -> None:
         """Fold nodes and edges not yet indexed into the names and keys."""
+        import numpy as np
         names = sorted([*self._names, *new_nodes])
         position = {node: idx for idx, node in enumerate(names)}
         n = len(names)
@@ -82,6 +87,7 @@ class CumulativeGraph:
     def index_arrays(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Sorted node names and the (src, dst) index arrays of the edges,
         sorted by source, then target."""
+        import numpy as np
         src, dst = np.divmod(self._keys, max(len(self._names), 1))
         return self._names, src, dst
 
@@ -98,6 +104,7 @@ def eigenvector_centrality(graph: CumulativeGraph, tol: float = DEFAULT_TOL,
         return {}
     if not graph.edges:
         return {node: 0.0 for node in graph.nodes}
+    import numpy as np
     names, src, dst = graph.index_arrays()
     n = len(names)
     a = np.zeros((n, n))
@@ -137,6 +144,7 @@ def pagerank(graph: CumulativeGraph, damping: float = DEFAULT_DAMPING,
     """
     if not graph.nodes:
         return {}
+    import numpy as np
     names, src, dst = graph.index_arrays()
     n = len(names)
     outdeg = np.bincount(src, minlength=n)

@@ -14,11 +14,15 @@ import os
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SchemaError
 from .tableio import open_text
+
+# numpy is imported by the functions that compute with it, so the commands
+# that match no concepts start without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 ENV_REMOTE_URL = "CLAIMGRAPH_EMBED_URL"
 ENV_REMOTE_TOKEN = "CLAIMGRAPH_EMBED_TOKEN"
@@ -47,6 +51,7 @@ class EmbeddingIndex:
 def _scale(vec: np.ndarray) -> np.ndarray:
     """Scale `vec` in place by the power of two that puts its largest |entry|
     in [0.5, 1), which changes no cosine; returns `vec`."""
+    import numpy as np
     _, exponent = np.frexp(np.abs(vec).max())
     return np.ldexp(vec, -exponent, out=vec)
 
@@ -58,6 +63,7 @@ def _vector_norm(vec: np.ndarray) -> float:
 
 def _defect(vec: np.ndarray, norm: float) -> str | None:
     """Why `vec` has no cosine similarity, or None."""
+    import numpy as np
     if not np.isfinite(vec).all():
         return "non-finite value"
     if norm == 0.0:
@@ -68,6 +74,7 @@ def _defect(vec: np.ndarray, norm: float) -> str | None:
 def _build(rows: Iterable[tuple[str, Iterable[float], int | None]],
            source: str) -> EmbeddingIndex:
     """Parse (id, values, line number) rows straight into one matrix."""
+    import numpy as np
     ids: list[str] = []
     line_nos: list[int | None] = []
     seen: set[str] = set()
@@ -148,6 +155,7 @@ def cosine_similarity(a: list[float], b: list[float]) -> float:
     non-finite vectors are rejected rather than given an arbitrary score.
     This is the reference the matchers below reproduce bit for bit.
     """
+    import numpy as np
     if len(a) != len(b):
         raise SchemaError(f"dimension mismatch: {len(a)} != {len(b)}")
     a, b = (_scale(np.array(v, dtype=np.float64)).tolist() for v in (a, b))
@@ -186,6 +194,7 @@ class _Scorer:
     """
 
     def __init__(self, query, index: EmbeddingIndex, query_id: str):
+        import numpy as np
         q = np.array(query, dtype=np.float64)
         if q.shape != (index.dim,):
             raise SchemaError(f"query {query_id!r}: dimension mismatch: "
@@ -200,6 +209,7 @@ class _Scorer:
 
     def rows_at_least(self, floor: float) -> np.ndarray:
         """Every row whose exact score may reach `floor`."""
+        import numpy as np
         return np.flatnonzero(self.approx >= floor - self.margin)
 
     def exact(self, k: int) -> float:

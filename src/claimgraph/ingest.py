@@ -83,17 +83,35 @@ def _parse_edge(obj: dict) -> ClaimEdge:
     relationship = str(obj.get("relationship", "correlation"))
     if relationship not in RELATIONSHIPS:
         raise ValueError(f"unknown relationship {relationship!r}")
-    return ClaimEdge(source, sink, str(obj.get("source_text", "")),
-                     str(obj.get("sink_text", "")), methods, relationship)
+    source_text = obj.get("source_text", "")
+    if not isinstance(source_text, str):
+        source_text = _absent_text("source_text", source_text)
+    sink_text = obj.get("sink_text", "")
+    if not isinstance(sink_text, str):
+        sink_text = _absent_text("sink_text", sink_text)
+    return ClaimEdge(source, sink, source_text, sink_text, methods, relationship)
+
+
+def _absent_text(name: str, value) -> str:
+    """An edge text that is not a string: `null` reads as absent."""
+    if value is None:
+        return ""
+    raise ValueError(f"{name} must be a string, got {value!r}")
 
 
 def _csv_text(name: str, value) -> str:
+    # `str()` of a bool or a float would make `true` a paper and `1.0` a
+    # different one from `1`.
+    if isinstance(value, str):
+        text = value
+    elif isinstance(value, int) and not isinstance(value, bool):
+        text = str(value)
+    else:
+        raise ValueError(f"{name} must be a string or an integer, got {value!r}")
     # `measures.csv` carries the text, and `csv` quotes only cells holding a
     # line feed, so a lone carriage return would split the row read back.
-    text = str(value)
-    if value is None or isinstance(value, (list, dict)) or (
-            "\r" in text and "\n" not in text):
-        raise ValueError(f"{name} must be a string or number with no lone \\r: {value!r}")
+    if "\r" in text and "\n" not in text:
+        raise ValueError(f"{name} must hold no lone \\r: {value!r}")
     return text
 
 
@@ -125,8 +143,8 @@ def _parse_record(obj: dict, min_year: int, max_year: int) -> PaperRecord:
         if not isinstance(citations, int) or isinstance(citations, bool) or citations < 0:
             raise ValueError(f"citations must be a non-negative integer, got {citations!r}")
     title = obj.get("title")
-    if title is not None:
-        title = str(title)
+    if title is not None and not isinstance(title, str):
+        raise ValueError(f"title must be a string, got {title!r}")
     return PaperRecord(
         paper_id=paper_id,
         year=year,

@@ -15,11 +15,17 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CollinearityError, SchemaError
 from .tableio import open_text
+
+# numpy is imported by the functions that compute with it, so the commands
+# that run no regression start without loading it.
+if TYPE_CHECKING:
+    import numpy as np
+
+    Column = tuple[np.ndarray, np.ndarray]
 
 OUTCOMES = ("Top5", "Top6to20", "Top21to100", "LogCitesPlus1")
 
@@ -54,6 +60,7 @@ class RegressionResult:
 
 
 def _demean_by_group(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    import numpy as np
     out = values.astype(float).copy()
     for g in np.unique(groups):
         mask = groups == g
@@ -71,6 +78,7 @@ def ols_fit(y: np.ndarray, x: np.ndarray, years: np.ndarray,
     zero). r_squared uses the model's actual fitted values, year effects
     included. cluster is "by_year" or "none".
     """
+    import numpy as np
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     years = np.asarray(years)
@@ -124,6 +132,7 @@ def clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
     CR0 sandwich on the demeaned regressor (identical to the beta block of
     the full-design sandwich) scaled by G/(G-1) * (n-1)/(n-k).
     """
+    import numpy as np
     labels = np.unique(clusters)
     n_clusters = labels.size
     if n_clusters < 2:
@@ -140,11 +149,9 @@ def clustered_se(x_t: np.ndarray, resid: np.ndarray, clusters: np.ndarray,
     return math.sqrt(variance)
 
 
-Column = tuple[np.ndarray, np.ndarray]
-
-
 def _column(values: list) -> Column:
     """float64 values, NaN where missing, and the mask of defined entries."""
+    import numpy as np
     defined = np.fromiter((v is not None for v in values), dtype=bool,
                           count=len(values))
     array = np.fromiter((math.nan if v is None else v for v in values),
@@ -168,6 +175,7 @@ def _spec_columns(table: dict[str, list], specs: list[RegressionSpec],
                   ) -> tuple[np.ndarray, dict[str, Column], dict[str, Column]]:
     """The years, and each outcome and measure column the specs name, built
     once. A measure column the table lacks is missing everywhere."""
+    import numpy as np
     outcomes = {name: _outcome_values(table, name)
                 for name in {spec.outcome for spec in specs}}
     measures = {column: _column(table.get(column) or [None] * len(table["year"]))

@@ -1,11 +1,32 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import claimgraph
 from claimgraph.ingest import parse_corpus_file
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 LANDMARK_PATH = os.path.join(DATA_DIR, "landmark_corpus.jsonl")
+# The src/ of the claimgraph under test. pytest's `pythonpath` setting
+# reaches only its own process, so a child interpreter is given it.
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(claimgraph.__file__)))
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """For checks that need an interpreter whose imports this test process
+    has not made already: `run(code, *args)` runs `code` with `args` as
+    `sys.argv[1:]` in a new interpreter that imports the claimgraph under
+    test, and returns its exit code and its stdout and stderr together."""
+    def run(code: str, *args: str, timeout: float = 30.0) -> tuple[int, str]:
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              timeout=timeout, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
+        return proc.returncode, proc.stdout
+    return run
 
 
 @pytest.fixture(scope="session")

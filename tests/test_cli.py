@@ -229,3 +229,39 @@ def test_non_utf8_input_is_a_one_line_error(tmp_path, landmark_path, capsys,
     code, stdout, err = _main(argv, capsys)
     assert (code, stdout) == (1, "")
     assert err == f"claimgraph: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
+# --- numpy loads only with the commands that compute with it ---------------
+
+NUMPY_CHECK = """
+import os, runpy, sys
+
+corpus, out = sys.argv[1:]
+sys.argv = ["claimgraph", "--help"]
+try:
+    runpy.run_module("claimgraph", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+from claimgraph import cli, pipeline
+
+for argv in (
+        ["ingest", "--corpus", corpus],
+        ["measures", "--corpus", corpus],
+        ["novelty", "--corpus", corpus, "--ledger-out", os.path.join(out, "ledger")],
+        ["gaps", "--corpus", corpus, "--table-out", os.path.join(out, "pairs")],
+        ["trends", "--corpus", corpus]):
+    assert cli.main([*argv, "--out", os.path.join(out, argv[0])]) == 0, argv
+print("numpy after start-up commands:", "numpy" in sys.modules)
+print("centrality exit:", cli.main(["centrality", "--corpus", corpus,
+                                     "--out", os.path.join(out, "centrality")]))
+print("numpy after centrality:", "numpy" in sys.modules)
+"""
+
+
+def test_only_numeric_commands_load_numpy(fresh_python, landmark_path, tmp_path):
+    # The test process has numpy loaded already, so a new interpreter checks.
+    code, output = fresh_python(NUMPY_CHECK, landmark_path, str(tmp_path))
+    assert code == 0, output
+    assert output.splitlines()[-3:] == ["numpy after start-up commands: False",
+                                        "centrality exit: 0",
+                                        "numpy after centrality: True"], output

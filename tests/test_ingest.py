@@ -108,6 +108,58 @@ def test_ids_csv_quotes_and_integer_ids_are_kept():
     assert not diags
 
 
+@pytest.mark.parametrize("value", [True, False, 1.0, 2.5],
+                         ids=["true", "false", "float-one", "float"])
+def test_bool_and_float_ids_are_rejected(value):
+    """`str()` would make `true` the paper 'True', and `1.0` a paper other
+    than `1`."""
+    line = json.dumps({"paper_id": value, "year": 2001})
+    records, diags = parse_lines(json.dumps({"paper_id": 1, "year": 2001}), line)
+    assert [r.paper_id for r in records] == ["1"]
+    assert [(d.line_no, d.kind) for d in diags] == [(2, "schema")]
+    assert "paper_id must be a string or an integer" in diags[0].message
+    with pytest.raises(SchemaError, match="paper_id") as err:
+        parse_lines(line, strict=True)
+    assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize("value", [True, 1.5], ids=["true", "float"])
+def test_bool_and_float_outcome_sources_are_rejected(value):
+    records, diags = parse_lines(json.dumps({**json.loads(GOOD_LINE),
+                                             "outcome_source": value}))
+    assert records == [] and [d.kind for d in diags] == ["schema"]
+    assert "outcome_source must be a string or an integer" in diags[0].message
+
+
+def _with_texts(title, source_text, sink_text):
+    obj = json.loads(GOOD_LINE)
+    obj["title"] = title
+    obj["edges"][0].update(source_text=source_text, sink_text=sink_text)
+    return json.dumps(obj)
+
+
+def test_null_texts_read_as_absent():
+    (record,), diags = parse_lines(_with_texts(None, None, None), strict=True)
+    edge = record.edges[0]
+    assert (record.title, edge.source_text, edge.sink_text) == (None, "", "")
+    assert not diags
+
+
+@pytest.mark.parametrize("key, texts", [
+    ("title", (7, "a", "b")), ("title", (["t"], "a", "b")),
+    ("source_text", ("t", [1], "b")), ("source_text", ("t", True, "b")),
+    ("sink_text", ("t", "a", 1.5)), ("sink_text", ("t", "a", {"x": 1})),
+], ids=["title-int", "title-list", "source-list", "source-bool", "sink-float",
+        "sink-object"])
+def test_non_string_texts_are_rejected(key, texts):
+    line = _with_texts(*texts)
+    records, diags = parse_lines(line)
+    assert records == [] and [d.kind for d in diags] == ["schema"]
+    assert f"{key} must be a string" in diags[0].message
+    with pytest.raises(SchemaError, match=key):
+        parse_lines(line, strict=True)
+
+
 def test_duplicate_ids_reported_with_both_lines():
     records, diags = parse_lines(GOOD_LINE, GOOD_LINE)
     assert len(records) == 1

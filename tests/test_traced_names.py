@@ -87,3 +87,21 @@ def test_the_attributes_the_tracer_reads_exist():
     table = compute_measure_table(records, PipelineConfig())
     rows = run_regressions(table, default_battery())
     assert rows and all("error" in row for row in rows)
+
+
+LOADED_AT_START_UP = """
+import sys
+
+import claimgraph.embedding, claimgraph.cli, claimgraph.pipeline
+
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_the_tracers_modules_are_loaded_at_start_up(fresh_python):
+    """`Tracer.install()` looks each traced module up in `sys.modules` after
+    the imports `perfbench/measure.py` makes, so none may load lazily."""
+    code, output = fresh_python(LOADED_AT_START_UP)
+    assert code == 0, output
+    loaded = set(output.split())
+    assert not {f"claimgraph.{mod}" for mod, _ in _traced_names()} - loaded
