@@ -27,13 +27,14 @@ from .embedding import (
     remote_provider_configured,
 )
 from .errors import ClaimGraphError, SchemaError, check_range
-from .graphs import DEFAULT_PATH_CAP, build_graph, complexity_measures
+from .graphs import DEFAULT_PATH_CAP, build_graph
 from .ingest import (
     merge_outcome_files,
     parse_corpus_file,
     serialize_corpus,
     split_paths,
 )
+from .model import normalize_code
 from .pipeline import (
     CENTRALITY_COLUMNS,
     CENTRALITY_STATS,
@@ -43,6 +44,7 @@ from .pipeline import (
     NOVELTY_VIEWS,
     REGRESSION_COLUMNS,
     TREND_COLUMNS,
+    complexity_table,
     parse_config_file,
     run_pipeline,
 )
@@ -102,10 +104,10 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_measures(args):
-    # A list, not a generator: a path_cap error must come before any output.
-    rows = [complexity_measures(record, path_cap=args.path_cap)
-            for record in _load_corpus(args)]
-    return ["paper_id", "year", *COMPLEXITY_COLUMNS], rows
+    check_range("--path-cap", args.path_cap, (1, None))
+    table = complexity_table(_load_corpus(args), args.path_cap)
+    header = ["paper_id", "year", *COMPLEXITY_COLUMNS]
+    return header, zip(*(table[c] for c in header))
 
 
 def cmd_novelty(args):
@@ -132,6 +134,7 @@ def cmd_novelty(args):
 
 
 def cmd_gaps(args):
+    check_range("--tau", args.tau, (1, None))
     records, graphs = _load_graphs(args)
     table = (cooccur_mod.load_pair_table_file(args.table_in)
              if args.table_in else None)
@@ -158,8 +161,9 @@ def cmd_centrality(args):
 def cmd_node_series(args):
     _, graphs = _load_graphs(args)
     try:
-        series = centrality_mod.node_centrality_series(graphs, args.code)
-    except ValueError as exc:  # a code the corpus never uses
+        series = centrality_mod.node_centrality_series(
+            graphs, normalize_code(args.code))
+    except ValueError as exc:  # a malformed code, or one the corpus never uses
         raise SchemaError(str(exc)) from None
     return ["year", "eigen_centrality", "eigen_centrality_minmax"], series
 

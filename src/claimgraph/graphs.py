@@ -13,7 +13,7 @@ views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PathBudgetExceeded, YearOrderError
 from .model import PaperRecord
@@ -33,15 +33,13 @@ class PaperGraph:
     view: str = "full"
     nodes: set[str] = field(default_factory=set)
     edges: set[tuple[str, str]] = field(default_factory=set)
-    n_claims: int = 0
-    n_selfloop_claims: int = 0
 
 
 def build_graph(record: PaperRecord, view: str = "full") -> PaperGraph:
     """Collapse a record's claims (filtered to `view`) into a PaperGraph.
 
-    Self-loop claims are dropped from the graph but counted, so nothing is
-    lost silently.
+    Self-loop claims are dropped from the graph; a run's manifest counts
+    them from the records.
     """
     if view not in VIEWS:
         raise ValueError(f"unknown view {view!r}")
@@ -51,9 +49,7 @@ def build_graph(record: PaperRecord, view: str = "full") -> PaperGraph:
             continue
         if view == "noncausal" and edge.is_causal:
             continue
-        graph.n_claims += 1
         if edge.source == edge.sink:
-            graph.n_selfloop_claims += 1
             continue
         graph.nodes.add(edge.source)
         graph.nodes.add(edge.sink)
@@ -133,44 +129,17 @@ def source_sink_ratio(graph: PaperGraph, epsilon: float = DEFAULT_EPSILON) -> fl
     return len(sources) / (len(sinks) + epsilon)
 
 
-def path_measures(graph: PaperGraph, path_cap: int,
-                  epsilon: float) -> tuple[int, int, float]:
-    """(number of simple paths, longest path in edges, source/sink ratio)."""
-    n_paths, longest = count_paths(graph, cap=path_cap)
-    return n_paths, longest, source_sink_ratio(graph, epsilon)
+def complexity_measures(graphs: Sequence[PaperGraph], claims: Sequence[int],
+                        path_cap: int = DEFAULT_PATH_CAP,
+                        epsilon: float = DEFAULT_EPSILON,
+                        ) -> list[tuple[int | None, int | None, float | None]]:
+    """(number of simple paths, longest path in edges, source/sink ratio) of
+    each of one view's graphs, in order.
 
-
-class ComplexityMeasures(NamedTuple):
-    """One `measures` row, its fields in the order of the header's columns."""
-
-    paper_id: str
-    year: int
-    num_edges: int
-    num_causal_edges: int
-    prop_causal_edges: float | None
-    num_unique_paths: int | None
-    longest_path: int | None
-    num_unique_paths_causal: int | None
-    longest_path_causal: int | None
-    num_unique_paths_noncausal: int | None
-    longest_path_noncausal: int | None
-    source_sink_full: float | None
-    source_sink_causal: float | None
-    source_sink_noncausal: float | None
-
-
-def complexity_measures(record: PaperRecord, path_cap: int = DEFAULT_PATH_CAP,
-                        epsilon: float = DEFAULT_EPSILON) -> ComplexityMeasures:
-    """All structural measures for one record.
-
-    Zero-edge records yield missing (None) path and ratio measures so they
-    stay distinguishable from papers whose graphs truly have zero paths.
+    `claims` holds each graph's paper's claim count over all views. A paper
+    without claims scores (None, None, None) in every view, so it stays
+    distinguishable from a view whose graph truly has zero paths.
     """
-    counts = record.claim_counts()
-    per_view = [path_measures(build_graph(record, view), path_cap, epsilon)
-                if counts[0] else (None, None, None) for view in VIEWS]
-    # The fields' order: path counts and lengths of every view, then ratios.
-    return ComplexityMeasures(
-        record.paper_id, record.year, *counts,
-        *(value for measures in per_view for value in measures[:2]),
-        *(measures[2] for measures in per_view))
+    return [(*count_paths(graph, cap=path_cap), source_sink_ratio(graph, epsilon))
+            if n_claims else (None, None, None)
+            for graph, n_claims in zip(graphs, claims, strict=True)]

@@ -179,10 +179,6 @@ class PaperRecord:
         n_causal = sum(1 for e in self.edges if e.is_causal)
         return n_claims, n_causal, n_causal / n_claims if n_claims else None
 
-    def prop_causal(self) -> float | None:
-        """Share of claim edges that are causal; None for zero-edge papers."""
-        return self.claim_counts()[2]
-
 
 def normalize_title(title: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace. Used for exact

@@ -25,7 +25,7 @@ from . import cooccurrence as cooccur_mod
 from . import novelty as novelty_mod
 from .errors import ClaimGraphError, SchemaError, check_range
 from .graphs import (DEFAULT_EPSILON, DEFAULT_PATH_CAP, VIEWS, build_graph,
-                     path_measures)
+                     complexity_measures)
 from .ingest import (
     DEFAULT_MAX_YEAR,
     DEFAULT_MIN_YEAR,
@@ -112,7 +112,8 @@ class PipelineConfig:
 
 _INPUT_KEYS = ("corpus", "outcomes", "ranks", "specs")
 # Parameters whose values outside a range would crash a run or be misread.
-_RANGES = {**novelty_mod.LEDGER_RANGES, "max_iter": (1, None)}
+_RANGES = {**novelty_mod.LEDGER_RANGES, "max_iter": (1, None),
+           "path_cap": (1, None), "subset_cap": (1, None), "tau": (1, None)}
 # Every other key is a parameter, parsed by its field's annotated type.
 _PARSERS = {"bool": lambda v: v.lower() in ("1", "true", "yes"),
             "int": int, "float": float, "str": str}
@@ -178,11 +179,8 @@ def _score_view(records: list[PaperRecord], table: dict[str, list], view: str,
     """Set one view's columns from one graph per record. The graphs die
     with this call, so only one view's graphs are alive at a time."""
     graphs = [build_graph(r, view) for r in records]
-    # Zero-edge papers get missing path measures in every view.
-    _put(table, _per_view(PATH_MEASURES, (view,)),
-         [path_measures(graph, config.path_cap, config.epsilon)
-          if n_edges else (None, None, None)
-          for graph, n_edges in zip(graphs, table["num_edges"])])
+    _put(table, _per_view(PATH_MEASURES, (view,)), complexity_measures(
+        graphs, table["num_edges"], config.path_cap, config.epsilon))
     ids = table["paper_id"]
     if view in NOVELTY_VIEWS:
         scores, _ = novelty_mod.score_corpus(
@@ -211,6 +209,22 @@ def compute_measure_table(records: list[PaperRecord],
         _score_view(records, table, view, config)
     for col in _per_view(CENTRALITY_STATS, CENTRALITY_VIEWS):
         table[f"z_{col}"] = centrality_mod.standardize(table[col])
+    return table
+
+
+def complexity_table(records: list[PaperRecord], path_cap: int = DEFAULT_PATH_CAP,
+                     epsilon: float = DEFAULT_EPSILON) -> dict[str, list]:
+    """The `measures` subcommand's table: one list per column of paper_id,
+    year and COMPLEXITY_COLUMNS, one value per record in input order, None
+    marking missing. Its values are those of the same columns of
+    compute_measure_table, and only one view's graphs are alive at a time."""
+    table: dict[str, list] = {}
+    _put(table, ["paper_id", "year", *COMPLEXITY_COLUMNS[:3]],
+         [(r.paper_id, r.year, *r.claim_counts()) for r in records])
+    for view in VIEWS:
+        _put(table, _per_view(PATH_MEASURES, (view,)), complexity_measures(
+            [build_graph(r, view) for r in records], table["num_edges"],
+            path_cap, epsilon))
     return table
 
 

@@ -69,7 +69,7 @@ def aggregate_trends(records: Sequence[PaperRecord],
     rows: list[TrendRow] = []
     for group in sorted(members):
         papers = members[group]
-        props = [p for p in (r.prop_causal() for r in papers) if p is not None]
+        props = [p for p in (r.claim_counts()[2] for r in papers) if p is not None]
         if not props:
             log.info("group %r has no papers with edges; omitted", group)
             continue

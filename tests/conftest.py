@@ -12,6 +12,10 @@ LANDMARK_PATH = os.path.join(DATA_DIR, "landmark_corpus.jsonl")
 # The src/ of the claimgraph under test. pytest's `pythonpath` setting
 # reaches only its own process, so a child interpreter is given it.
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(claimgraph.__file__)))
+# The environment of a child interpreter that imports the same claimgraph as
+# the tests, from a checkout as well as from an installed package.
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)}
 
 
 @pytest.fixture(scope="session")
@@ -21,8 +25,7 @@ def fresh_python():
     `sys.argv[1:]` in a new interpreter that imports the claimgraph under
     test, and returns its exit code and its stdout and stderr together."""
     def run(code: str, *args: str, timeout: float = 30.0) -> tuple[int, str]:
-        env = dict(os.environ, PYTHONPATH=SRC_DIR)
-        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=CLI_ENV,
                               timeout=timeout, stdout=subprocess.PIPE,
                               stderr=subprocess.STDOUT, text=True)
         return proc.returncode, proc.stdout

@@ -22,10 +22,10 @@ from claimgraph.cooccurrence import (
     gap_filling_prop,
     update_pair_counts,
 )
-from claimgraph.graphs import PaperGraph, build_graph, complexity_measures
+from claimgraph.graphs import PaperGraph, build_graph
 from claimgraph.novelty import canonical_signature
 from claimgraph.novelty import score_corpus as novelty_scores
-from claimgraph.pipeline import PipelineConfig, run_pipeline
+from claimgraph.pipeline import PipelineConfig, complexity_table, run_pipeline
 from claimgraph.regression import RegressionSpec, ols_fit, run_spec
 from claimgraph.trends import aggregate_trends
 
@@ -59,47 +59,48 @@ def gate(name):
 def test_landmark_fixture_measures(landmark_records):
     with gate("landmark fixture measures"):
         t0 = time.perf_counter()
-        cm = {pid: complexity_measures(rec)
-              for pid, rec in landmark_records.items()}
+        table = complexity_table(list(landmark_records.values()))
+        cm = {pid: {col: values[i] for col, values in table.items()}
+              for i, pid in enumerate(table["paper_id"])}
 
         m = cm["mobility14"]
-        assert m.num_edges == 7
-        assert m.num_unique_paths == 6
-        assert m.longest_path == 1
-        assert m.source_sink_full == pytest.approx(2.5, abs=0.01)
+        assert m["num_edges"] == 7
+        assert m["num_unique_paths_full"] == 6
+        assert m["longest_path_full"] == 1
+        assert m["source_sink_full"] == pytest.approx(2.5, abs=0.01)
 
         c = cm["credit15"]
-        assert c.num_edges == 8
-        assert c.num_causal_edges == 8
-        assert c.num_unique_paths_causal == 12
-        assert c.longest_path_causal == 3
-        assert c.source_sink_causal == pytest.approx(0.71, abs=0.01)
+        assert c["num_edges"] == 8
+        assert c["num_causal_edges"] == 8
+        assert c["num_unique_paths_causal"] == 12
+        assert c["longest_path_causal"] == 3
+        assert c["source_sink_causal"] == pytest.approx(0.71, abs=0.01)
 
         f = cm["firmshocks11"]
-        assert f.num_edges == 6
-        assert f.num_unique_paths == 11
-        assert f.longest_path == 3
-        assert f.source_sink_full == pytest.approx(0.8, abs=0.05)
+        assert f["num_edges"] == 6
+        assert f["num_unique_paths_full"] == 11
+        assert f["longest_path_full"] == 3
+        assert f["source_sink_full"] == pytest.approx(0.8, abs=0.05)
 
         g = cm["tariffs10"]
-        assert g.num_edges == 5
-        assert g.num_causal_edges == 3
-        assert g.num_unique_paths == 5
-        assert g.longest_path == 2
-        assert g.source_sink_full == pytest.approx(1.33, abs=0.01)
-        assert g.source_sink_causal == pytest.approx(2.0, abs=0.01)
+        assert g["num_edges"] == 5
+        assert g["num_causal_edges"] == 3
+        assert g["num_unique_paths_full"] == 5
+        assert g["longest_path_full"] == 2
+        assert g["source_sink_full"] == pytest.approx(1.33, abs=0.01)
+        assert g["source_sink_causal"] == pytest.approx(2.0, abs=0.01)
 
         assert time.perf_counter() - t0 < 1.0
 
 
 def _log_cites_rows(records):
-    rows = []
-    for rec in records:
-        m = complexity_measures(rec)
-        rows.append({"paper_id": m.paper_id, "year": m.year,
-                     "pub_tier": rec.pub_tier, "citations": rec.citations,
-                     "prop_causal_edges": m.prop_causal_edges})
-    return rows
+    table = complexity_table(records)
+    return [{"paper_id": pid, "year": year,
+             "pub_tier": rec.pub_tier, "citations": rec.citations,
+             "prop_causal_edges": prop}
+            for rec, pid, year, prop in zip(records, table["paper_id"],
+                                             table["year"],
+                                             table["prop_causal_edges"])]
 
 
 def test_regression_estimator_recovery():

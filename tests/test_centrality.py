@@ -30,8 +30,7 @@ def cumulative(edges, nodes=()):
 def make_graph(edges, paper_id="g", year=2000, nodes=()):
     node_set = {u for u, _ in edges} | {v for _, v in edges} | set(nodes)
     return PaperGraph(paper_id=paper_id, year=year, view="full",
-                      nodes=node_set, edges=set(edges),
-                      n_claims=len(edges), n_selfloop_claims=0)
+                      nodes=node_set, edges=set(edges))
 
 
 # --- eigenvector --------------------------------------------------------

@@ -2,14 +2,13 @@
 rows, a failed command leaves no `--out` file, and undecodable input bytes
 give the one-line error."""
 
-import os
 import subprocess
 import sys
 
 import pytest
 
-import claimgraph
 from claimgraph import cli
+from conftest import CLI_ENV
 
 MEASURES = ("paper_id,year,pub_tier,citations,prop_causal_edges\n"
             "p1,2001,Top5,3,0.5\np2,2002,Other,0,0.25\np3,2002,Top5,8,1.0\n")
@@ -51,12 +50,6 @@ def _table_argvs(tmp_path, corpus):
     }
 
 
-# The subprocess imports the same claimgraph as the tests.
-CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    p for p in (os.path.dirname(os.path.dirname(claimgraph.__file__)),
-                os.environ.get("PYTHONPATH")) if p)}
-
-
 @pytest.mark.parametrize("command", ["measures", "novelty", "gaps", "centrality",
                                      "node-series", "regress", "trends", "match"])
 def test_out_file_and_stdout_get_the_same_bytes(tmp_path, landmark_path, command):
@@ -87,6 +80,15 @@ def test_failed_command_leaves_no_out_file(tmp_path, landmark_path, capsys,
                                "--out", str(out)], capsys)
     assert (code, stdout, err) == (1, "", message)
     assert not out.exists()
+
+
+def test_node_series_code_is_normalised_like_corpus_codes(landmark_path, capsys):
+    runs = [_main(["node-series", "--corpus", landmark_path, "--code", code], capsys)
+            for code in ("D31", "d31", " D31")]
+    assert runs[0][0] == 0 and runs[0][1].count("\n") > 1
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert _main(["node-series", "--corpus", landmark_path, "--code", "zz"],
+                 capsys) == (1, "", "claimgraph: malformed concept code 'ZZ'\n")
 
 
 def test_regress_reads_the_columns_a_short_first_row_lacks(tmp_path, capsys):

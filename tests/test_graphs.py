@@ -4,23 +4,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_paths
+from synth import records_to_jsonl
 from claimgraph.errors import PathBudgetExceeded
 from claimgraph.graphs import (
     PaperGraph,
     build_graph,
-    complexity_measures,
     count_paths,
     iter_simple_paths,
     source_sink_ratio,
 )
 from claimgraph.model import ClaimEdge, PaperRecord
+from claimgraph.pipeline import PipelineConfig, complexity_table, run_pipeline
 
 
 def graph_from_edges(edges, paper_id="g", year=2000, view="full"):
     nodes = {u for u, _ in edges} | {v for _, v in edges}
     return PaperGraph(paper_id=paper_id, year=year, view=view,
-                      nodes=nodes, edges=set(edges),
-                      n_claims=len(edges), n_selfloop_claims=0)
+                      nodes=nodes, edges=set(edges))
+
+
+def measures_of(record):
+    """The record's `measures` row, by column."""
+    return {col: values[0] for col, values in complexity_table([record]).items()}
 
 
 # --- collapsing and views ----------------------------------------------
@@ -33,19 +38,24 @@ def test_duplicate_claims_collapse_but_still_count():
         ClaimEdge("B2", "C3", methods=("OLS",)),
     ))
     g = build_graph(rec)
-    assert g.n_claims == 3
+    assert rec.claim_counts()[0] == 3
     assert g.edges == {("A1", "B2"), ("B2", "C3")}
 
 
-def test_self_loops_dropped_and_counted():
+def test_self_loops_dropped_and_counted(tmp_path):
     rec = PaperRecord("p", 2000, edges=(
         ClaimEdge("A1", "A1", methods=("OLS",)),
         ClaimEdge("A1", "B2", methods=("OLS",)),
     ))
     g = build_graph(rec)
-    assert g.n_selfloop_claims == 1
+    assert rec.claim_counts()[0] == 2
     assert g.edges == {("A1", "B2")}
     assert "A1" in g.nodes and "B2" in g.nodes
+    corpus = tmp_path / "loop.jsonl"
+    corpus.write_text(records_to_jsonl([rec]))
+    run_pipeline(PipelineConfig(corpus=str(corpus)), str(tmp_path / "out"))
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert "selfloop_claims_dropped=1" in manifest
 
 
 def test_views_filter_claims_before_collapse():
@@ -61,7 +71,7 @@ def test_views_filter_claims_before_collapse():
     # the mixed-evidence pair shows up on both sides
     assert causal.edges == {("A1", "B2")}
     assert noncausal.edges == {("A1", "B2"), ("B2", "C3")}
-    assert causal.n_claims == 1 and noncausal.n_claims == 2
+    assert rec.claim_counts()[:2] == (3, 1)
 
 
 def test_view_nodes_come_from_view_claims_only():
@@ -159,7 +169,7 @@ def test_path_count_invariant_under_relabeling():
 def test_source_sink_ratio_epsilon_and_empty():
     g = graph_from_edges([("A1", "B2")])
     assert source_sink_ratio(g) == pytest.approx(1.0, abs=1e-8)
-    empty = PaperGraph("p", 2000, "full", set(), set(), 0, 0)
+    empty = PaperGraph("p", 2000, "full", set(), set())
     assert source_sink_ratio(empty) == 0.0
 
 
@@ -169,59 +179,59 @@ def test_pure_source_heavy_ratio():
 
 
 def test_zero_edge_record_measures_missing():
-    cm = complexity_measures(PaperRecord("p", 2000))
-    assert cm.num_edges == 0 and cm.num_causal_edges == 0
-    assert cm.prop_causal_edges is None
-    assert cm.num_unique_paths is None and cm.longest_path is None
-    assert cm.source_sink_full is None
+    cm = measures_of(PaperRecord("p", 2000))
+    assert cm["num_edges"] == 0 and cm["num_causal_edges"] == 0
+    assert cm["prop_causal_edges"] is None
+    assert cm["num_unique_paths_full"] is None and cm["longest_path_full"] is None
+    assert cm["source_sink_full"] is None
 
 
 def test_view_with_no_claims_scores_empty_not_missing():
     # paper has edges, but none are causal: causal view exists and is empty
     rec = PaperRecord("p", 2000, edges=(ClaimEdge("A1", "B2", methods=("OLS",)),))
-    cm = complexity_measures(rec)
-    assert cm.num_unique_paths_causal == 0
-    assert cm.longest_path_causal == 0
-    assert cm.source_sink_causal == 0.0
-    assert cm.prop_causal_edges == 0.0
+    cm = measures_of(rec)
+    assert cm["num_unique_paths_causal"] == 0
+    assert cm["longest_path_causal"] == 0
+    assert cm["source_sink_causal"] == 0.0
+    assert cm["prop_causal_edges"] == 0.0
 
 
 # --- landmark fixtures ---------------------------------------------------
 
 
 def test_mobility_fixture(landmark_records):
-    cm = complexity_measures(landmark_records["mobility14"])
-    assert cm.num_edges == 7
-    assert cm.num_unique_paths == 6
-    assert cm.longest_path == 1
-    assert cm.source_sink_full == pytest.approx(2.5, abs=0.01)
-    assert cm.prop_causal_edges == 0.0
+    cm = measures_of(landmark_records["mobility14"])
+    assert cm["num_edges"] == 7
+    assert cm["num_unique_paths_full"] == 6
+    assert cm["longest_path_full"] == 1
+    assert cm["source_sink_full"] == pytest.approx(2.5, abs=0.01)
+    assert cm["prop_causal_edges"] == 0.0
 
 
 def test_credit_fixture(landmark_records):
-    cm = complexity_measures(landmark_records["credit15"])
-    assert cm.num_edges == 8
-    assert cm.num_causal_edges == 8
-    assert cm.num_unique_paths_causal == 12
-    assert cm.longest_path_causal == 3
-    assert cm.source_sink_causal == pytest.approx(0.71, abs=0.01)
-    assert cm.prop_causal_edges == 1.0
+    cm = measures_of(landmark_records["credit15"])
+    assert cm["num_edges"] == 8
+    assert cm["num_causal_edges"] == 8
+    assert cm["num_unique_paths_causal"] == 12
+    assert cm["longest_path_causal"] == 3
+    assert cm["source_sink_causal"] == pytest.approx(0.71, abs=0.01)
+    assert cm["prop_causal_edges"] == 1.0
 
 
 def test_firmshocks_fixture(landmark_records):
-    cm = complexity_measures(landmark_records["firmshocks11"])
-    assert cm.num_edges == 6
-    assert cm.num_unique_paths == 11
-    assert cm.longest_path == 3
-    assert cm.source_sink_full == pytest.approx(0.8, abs=0.05)
-    assert cm.prop_causal_edges == 0.0
+    cm = measures_of(landmark_records["firmshocks11"])
+    assert cm["num_edges"] == 6
+    assert cm["num_unique_paths_full"] == 11
+    assert cm["longest_path_full"] == 3
+    assert cm["source_sink_full"] == pytest.approx(0.8, abs=0.05)
+    assert cm["prop_causal_edges"] == 0.0
 
 
 def test_tariffs_fixture(landmark_records):
-    cm = complexity_measures(landmark_records["tariffs10"])
-    assert cm.num_edges == 5
-    assert cm.num_causal_edges == 3
-    assert cm.num_unique_paths == 5
-    assert cm.longest_path == 2
-    assert cm.source_sink_full == pytest.approx(1.33, abs=0.01)
-    assert cm.source_sink_causal == pytest.approx(2.0, abs=0.01)
+    cm = measures_of(landmark_records["tariffs10"])
+    assert cm["num_edges"] == 5
+    assert cm["num_causal_edges"] == 3
+    assert cm["num_unique_paths_full"] == 5
+    assert cm["longest_path_full"] == 2
+    assert cm["source_sink_full"] == pytest.approx(1.33, abs=0.01)
+    assert cm["source_sink_causal"] == pytest.approx(2.0, abs=0.01)

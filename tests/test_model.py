@@ -136,11 +136,11 @@ def test_prop_causal_counts_claims_not_pairs():
         ClaimEdge("B2", "C3", methods=("OLS",)),
     )
     rec = PaperRecord("p", 2000, edges=edges)
-    assert rec.prop_causal() == pytest.approx(1 / 3)
+    assert rec.claim_counts()[2] == pytest.approx(1 / 3)
 
 
 def test_prop_causal_missing_for_zero_edge_paper():
-    assert PaperRecord("p", 2000).prop_causal() is None
+    assert PaperRecord("p", 2000).claim_counts()[2] is None
 
 
 def test_method_tags_are_normalized_union():

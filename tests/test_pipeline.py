@@ -1,14 +1,13 @@
 import filecmp
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import claimgraph
 from claimgraph import cli
+from conftest import CLI_ENV
 from synth import random_corpus, records_to_jsonl, rows_to_columns
 from claimgraph.errors import SchemaError
 from claimgraph.ingest import parse_corpus_file
@@ -334,13 +333,6 @@ def test_regress_on_run_measures_fits_every_paper_run_fits(tmp_path):
 # --- command line -------------------------------------------------------------
 
 
-# The CLI subprocess imports the same claimgraph as the tests, from a
-# checkout as well as from an installed package.
-SRC_DIR = os.path.dirname(os.path.dirname(claimgraph.__file__))
-CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)}
-
-
 def run_cli(*args, expect=0):
     proc = subprocess.run([sys.executable, "-m", "claimgraph", *args],
                           capture_output=True, text=True, timeout=300,
@@ -516,11 +508,24 @@ def test_run_builds_each_view_graph_once(synth_run, monkeypatch):
         calls.append(view)
         return build_graph(record, view)
 
+    path_passes = []
+
+    def counting_paths(graphs, *args):
+        path_passes.append(len(graphs))
+        return graphs_mod.complexity_measures(graphs, *args)
+
     monkeypatch.setattr(graphs_mod, "build_graph", counting_build)
     monkeypatch.setattr(pipeline_mod, "build_graph", counting_build)
+    monkeypatch.setattr(pipeline_mod, "complexity_measures", counting_paths)
     run_pipeline(config, str(tmp_path / "out"))
     assert len(calls) == 3 * len(records)
     assert {calls.count(v) for v in ("full", "causal", "noncausal")} == {len(records)}
+    # One path pass per view, for `run` and for `measures` alike.
+    assert path_passes == [len(records)] * 3
+    path_passes.clear()
+    assert cli.main(["measures", "--corpus", config.corpus,
+                     "--out", str(tmp_path / "measures.csv")]) == 0
+    assert path_passes == [len(records)] * 3
 
 
 def test_cli_regress_on_run_measures_with_merged_outcomes(synth_run):
@@ -635,9 +640,9 @@ def _ledger_header(old, new):
     return make
 
 
-def _novelty_flag(flag, value):
+def _corpus_flag(command, flag, value):
     def make(tmp_path):
-        return ["novelty", "--corpus", str(_late_corpus(tmp_path)), flag, value]
+        return [command, "--corpus", str(_late_corpus(tmp_path)), flag, value]
     return make
 
 
@@ -683,7 +688,8 @@ def _flag_mismatch(flag, value):
     (_flag_mismatch("--path-len", "3"), "--path-len 3 does not match path_len=2"),
     (_flag_mismatch("--subgraph-size", "3"),
      "--subgraph-size 3 does not match subgraph_size=2"),
-    (_novelty_flag("--subgraph-size", "5"), "--subgraph-size must be 2..4, got 5"),
+    (_corpus_flag("novelty", "--subgraph-size", "5"),
+     "--subgraph-size must be 2..4, got 5"),
     (_config_value("subgraph_size", 5),
      "line 2: subgraph_size must be 2..4, got 5"),
     (_ledger_header("subgraph_size=2", "subgraph_size=5"),
@@ -691,15 +697,22 @@ def _flag_mismatch(flag, value):
     (_regress_without_year, "noyear.csv: missing column 'year'"),
     (_regress_empty_year, "noyear.csv: paper 'p2': missing year"),
     (_config_value("max_iter", 0), "line 2: max_iter must be >= 1, got 0"),
-    (_novelty_flag("--path-len", "0"), "--path-len must be >= 1, got 0"),
+    (_corpus_flag("novelty", "--path-len", "0"), "--path-len must be >= 1, got 0"),
     (_config_value("path_len", 0), "line 2: path_len must be >= 1, got 0"),
     (_ledger_header("path_len=2", "path_len=0"),
      "frontier.txt: path_len must be >= 1, got 0"),
+    (_config_value("path_cap", 0), "line 2: path_cap must be >= 1, got 0"),
+    (_config_value("subset_cap", 0), "line 2: subset_cap must be >= 1, got 0"),
+    (_config_value("tau", -2), "line 2: tau must be >= 1, got -2"),
+    (_corpus_flag("measures", "--path-cap", "-1"),
+     "--path-cap must be >= 1, got -1"),
+    (_corpus_flag("gaps", "--tau", "-2"), "--tau must be >= 1, got -2"),
 ], ids=["ledger-header", "pair-row", "unseen-code", "config-value", "path-len",
         "subgraph-size", "subgraph-size-flag", "subgraph-size-config",
         "subgraph-size-ledger", "regress-no-year", "regress-empty-year",
         "max-iter-config", "path-len-flag", "path-len-config",
-        "path-len-ledger"])
+        "path-len-ledger", "path-cap-config", "subset-cap-config", "tau-config",
+        "path-cap-flag", "tau-flag"])
 def test_cli_boundary_errors_are_one_line(tmp_path, make_argv, message):
     proc = run_cli(*make_argv(tmp_path), expect=1)
     assert proc.stderr.startswith("claimgraph: ")
