@@ -58,8 +58,8 @@ class CumulativeGraph:
         nodes: set[str] = set()
         edges: set[tuple[str, str]] = set()
         for graph in papers:
-            nodes |= graph.nodes
-            edges |= graph.edges
+            nodes.update(graph.nodes)
+            edges.update(graph.edges)
         nodes -= self.nodes
         edges -= self.edges
         self.nodes |= nodes
@@ -195,12 +195,11 @@ def paper_centrality_stats(graph: PaperGraph,
     """Mean and population variance of prior-year scores over the paper's
     nodes. Codes unseen before the paper's year score 0. Papers with no
     nodes in the view get missing stats."""
-    nodes = sorted(graph.nodes)
-    if not nodes:
+    if not graph.nodes:
         return CentralityStats(graph.paper_id, graph.year, graph.view,
                                None, None, None, None)
-    e_vals = [eigen.get(node, 0.0) for node in nodes]
-    p_vals = [ranks.get(node, 0.0) for node in nodes]
+    e_vals = [eigen.get(node, 0.0) for node in graph.nodes]
+    p_vals = [ranks.get(node, 0.0) for node in graph.nodes]
     mean_e, var_e = _mean_var(e_vals)
     mean_p, var_p = _mean_var(p_vals)
     return CentralityStats(graph.paper_id, graph.year, graph.view,

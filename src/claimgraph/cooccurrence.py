@@ -41,7 +41,7 @@ def update_pair_counts(table: PairCountTable,
         return table
     year = batch_year(papers, table.through_year, "pair table")
     for graph in papers:
-        for pair in combinations(sorted(graph.nodes), 2):
+        for pair in combinations(graph.nodes, 2):
             table.counts[pair] = table.counts.get(pair, 0) + 1
     table.through_year = year
     return table
@@ -54,11 +54,12 @@ def gap_filling_prop(graph: PaperGraph, table: PairCountTable,
     Graphs with fewer than two nodes have no pairs and score missing. The
     score is monotone non-decreasing in tau.
     """
-    pairs = list(combinations(sorted(graph.nodes), 2))
-    if not pairs:
+    n = len(graph.nodes)
+    if n < 2:
         return None
-    rare = sum(1 for pair in pairs if table.counts.get(pair, 0) < tau)
-    return rare / len(pairs)
+    rare = sum(1 for pair in combinations(graph.nodes, 2)
+               if table.counts.get(pair, 0) < tau)
+    return rare / (n * (n - 1) // 2)
 
 
 def score_corpus(graphs: Sequence[PaperGraph], tau: int = DEFAULT_TAU,

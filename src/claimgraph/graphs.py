@@ -12,7 +12,7 @@ views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PathBudgetExceeded, YearOrderError
@@ -26,13 +26,19 @@ DEFAULT_EPSILON = 1e-9
 
 @dataclass(slots=True)
 class PaperGraph:
-    """Deduplicated directed graph of one paper's claims under one view."""
+    """Deduplicated directed graph of one paper's claims under one view.
+    `nodes` and `edges` are sorted tuples, sorted once here from the distinct
+    items passed in (sets, say), so no consumer sorts them again."""
 
     paper_id: str
     year: int
     view: str = "full"
-    nodes: set[str] = field(default_factory=set)
-    edges: set[tuple[str, str]] = field(default_factory=set)
+    nodes: tuple[str, ...] = ()
+    edges: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        self.nodes = tuple(sorted(self.nodes))
+        self.edges = tuple(sorted(self.edges))
 
 
 def build_graph(record: PaperRecord, view: str = "full") -> PaperGraph:
@@ -43,7 +49,7 @@ def build_graph(record: PaperRecord, view: str = "full") -> PaperGraph:
     """
     if view not in VIEWS:
         raise ValueError(f"unknown view {view!r}")
-    graph = PaperGraph(paper_id=record.paper_id, year=record.year, view=view)
+    edges: set[tuple[str, str]] = set()
     for edge in record.edges:
         if view == "causal" and not edge.is_causal:
             continue
@@ -51,10 +57,9 @@ def build_graph(record: PaperRecord, view: str = "full") -> PaperGraph:
             continue
         if edge.source == edge.sink:
             continue
-        graph.nodes.add(edge.source)
-        graph.nodes.add(edge.sink)
-        graph.edges.add((edge.source, edge.sink))
-    return graph
+        edges.add((edge.source, edge.sink))
+    return PaperGraph(record.paper_id, record.year, view,
+                      {node for edge in edges for node in edge}, edges)
 
 
 def year_batches(graphs: Iterable[PaperGraph]) -> list[tuple[int, list[PaperGraph]]]:
@@ -90,10 +95,10 @@ def iter_simple_paths(graph: PaperGraph, max_len: int | None = None,
     # Built per walk rather than cached on the graph, which would keep one
     # more dict alive per graph for a whole view.
     adj: dict[str, list[str]] = {node: [] for node in graph.nodes}
-    for u, v in sorted(graph.edges):
+    for u, v in graph.edges:
         adj[u].append(v)
     count = 0
-    for start in sorted(graph.nodes):
+    for start in graph.nodes:
         # Stack of (node, path-so-far); neighbors pushed in reverse so the
         # smallest code is explored first.
         stack: list[tuple[str, tuple[str, ...]]] = [(start, (start,))]

@@ -21,6 +21,7 @@ import csv
 import json
 import logging
 import os
+import sys
 from dataclasses import dataclass, replace, field
 from functools import lru_cache
 from typing import Iterable, Sequence, TextIO
@@ -54,6 +55,9 @@ class Diagnostic:
 
 
 _BAD_METHODS = "edge methods must be a list of strings"
+# Each accepted value maps to its model constant, which every record shares.
+_RELATIONSHIPS = {r: r for r in RELATIONSHIPS}
+_PUB_TIERS = {t: t for t in PUB_TIERS}
 
 
 @lru_cache(maxsize=4096)
@@ -80,9 +84,9 @@ def _parse_edge(obj: dict) -> ClaimEdge:
         methods = _sorted_methods(tuple(methods))
     except TypeError:  # an unhashable element, such as a list
         raise ValueError(_BAD_METHODS) from None
-    relationship = str(obj.get("relationship", "correlation"))
-    if relationship not in RELATIONSHIPS:
-        raise ValueError(f"unknown relationship {relationship!r}")
+    relationship = _RELATIONSHIPS.get(raw := str(obj.get("relationship", "correlation")))
+    if relationship is None:
+        raise ValueError(f"unknown relationship {raw!r}")
     source_text = obj.get("source_text", "")
     if not isinstance(source_text, str):
         source_text = _absent_text("source_text", source_text)
@@ -135,9 +139,9 @@ def _parse_record(obj: dict, min_year: int, max_year: int) -> PaperRecord:
     edges = obj.get("edges", [])
     if not isinstance(edges, list):
         raise ValueError("edges must be a list")
-    pub_tier = str(obj.get("pub_tier", "Unknown"))
-    if pub_tier not in PUB_TIERS:
-        raise ValueError(f"unknown pub_tier {pub_tier!r}")
+    pub_tier = _PUB_TIERS.get(raw := str(obj.get("pub_tier", "Unknown")))
+    if pub_tier is None:
+        raise ValueError(f"unknown pub_tier {raw!r}")
     citations = obj.get("citations")
     if citations is not None:
         if not isinstance(citations, int) or isinstance(citations, bool) or citations < 0:
@@ -148,7 +152,7 @@ def _parse_record(obj: dict, min_year: int, max_year: int) -> PaperRecord:
     return PaperRecord(
         paper_id=paper_id,
         year=year,
-        fields=tuple(sorted(set(fields))),
+        fields=tuple(sorted(set(map(sys.intern, fields)))),
         edges=tuple([_parse_edge(e) for e in edges]),
         title=title,
         pub_tier=pub_tier,

@@ -80,7 +80,7 @@ def iter_subgraph_signatures(graph: PaperGraph, size: int,
     """
     if size not in SUBGRAPH_SIZES:
         raise ValueError(f"subgraph size must be 2..4, got {size}")
-    nodes = sorted(graph.nodes)
+    nodes = graph.nodes
     if len(nodes) >= size:
         n_subsets = comb(len(nodes), size)
         if n_subsets > subset_cap:

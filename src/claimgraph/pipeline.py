@@ -176,19 +176,19 @@ def _put(table: dict[str, list], columns: list[str], results) -> None:
 
 def _score_view(records: list[PaperRecord], table: dict[str, list], view: str,
                 config: PipelineConfig) -> None:
-    """Set one view's columns from one graph per record. The graphs die
-    with this call, so only one view's graphs are alive at a time."""
+    """Set one view's columns from one graph per record. The graphs die with
+    this call, and each frontier (ledger, pair table) with its scorer."""
     graphs = [build_graph(r, view) for r in records]
     _put(table, _per_view(PATH_MEASURES, (view,)), complexity_measures(
         graphs, table["num_edges"], config.path_cap, config.epsilon))
     ids = table["paper_id"]
     if view in NOVELTY_VIEWS:
-        scores, _ = novelty_mod.score_corpus(
+        scores = novelty_mod.score_corpus(
             graphs, path_len=config.path_len,
-            subgraph_size=config.subgraph_size, subset_cap=config.subset_cap)
+            subgraph_size=config.subgraph_size, subset_cap=config.subset_cap)[0]
         _put(table, _per_view(NOVELTY_MEASURES, (view,)), [scores[pid] for pid in ids])
     if view in GAP_VIEWS:
-        gaps, _ = cooccur_mod.score_corpus(graphs, tau=config.tau)
+        gaps = cooccur_mod.score_corpus(graphs, tau=config.tau)[0]
         table[f"gap_prop_{view}"] = [gaps[pid] for pid in ids]
     stats = centrality_mod.score_corpus(
         graphs, damping=config.damping, tol=config.tol, max_iter=config.max_iter)

@@ -1,10 +1,14 @@
+import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_paths
+from oracles import brute_force_paths, induced_subgraphs
 from synth import records_to_jsonl
+from claimgraph.centrality import paper_centrality_stats
+from claimgraph.cooccurrence import PairCountTable, gap_filling_prop, update_pair_counts
 from claimgraph.errors import PathBudgetExceeded
 from claimgraph.graphs import (
     PaperGraph,
@@ -14,6 +18,7 @@ from claimgraph.graphs import (
     source_sink_ratio,
 )
 from claimgraph.model import ClaimEdge, PaperRecord
+from claimgraph.novelty import canonical_signature, iter_subgraph_signatures
 from claimgraph.pipeline import PipelineConfig, complexity_table, run_pipeline
 
 
@@ -39,7 +44,7 @@ def test_duplicate_claims_collapse_but_still_count():
     ))
     g = build_graph(rec)
     assert rec.claim_counts()[0] == 3
-    assert g.edges == {("A1", "B2"), ("B2", "C3")}
+    assert g.edges == (("A1", "B2"), ("B2", "C3"))
 
 
 def test_self_loops_dropped_and_counted(tmp_path):
@@ -49,8 +54,8 @@ def test_self_loops_dropped_and_counted(tmp_path):
     ))
     g = build_graph(rec)
     assert rec.claim_counts()[0] == 2
-    assert g.edges == {("A1", "B2")}
-    assert "A1" in g.nodes and "B2" in g.nodes
+    assert g.edges == (("A1", "B2"),)
+    assert g.nodes == ("A1", "B2")
     corpus = tmp_path / "loop.jsonl"
     corpus.write_text(records_to_jsonl([rec]))
     run_pipeline(PipelineConfig(corpus=str(corpus)), str(tmp_path / "out"))
@@ -67,10 +72,10 @@ def test_views_filter_claims_before_collapse():
     full = build_graph(rec, "full")
     causal = build_graph(rec, "causal")
     noncausal = build_graph(rec, "noncausal")
-    assert full.edges == {("A1", "B2"), ("B2", "C3")}
+    assert full.edges == (("A1", "B2"), ("B2", "C3"))
     # the mixed-evidence pair shows up on both sides
-    assert causal.edges == {("A1", "B2")}
-    assert noncausal.edges == {("A1", "B2"), ("B2", "C3")}
+    assert causal.edges == (("A1", "B2"),)
+    assert noncausal.edges == (("A1", "B2"), ("B2", "C3"))
     assert rec.claim_counts()[:2] == (3, 1)
 
 
@@ -80,7 +85,52 @@ def test_view_nodes_come_from_view_claims_only():
         ClaimEdge("C3", "D4", methods=("OLS",)),
     ))
     causal = build_graph(rec, "causal")
-    assert causal.nodes == {"A1", "B2"}
+    assert causal.nodes == ("A1", "B2")
+
+
+def test_paper_graph_stores_sorted_tuples():
+    g = PaperGraph("p", 2000, "full", nodes={"C3", "A1", "B2"},
+                   edges={("B2", "C3"), ("A1", "C3"), ("A1", "B2")})
+    assert g.nodes == ("A1", "B2", "C3")
+    assert g.edges == (("A1", "B2"), ("A1", "C3"), ("B2", "C3"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1,
+                max_size=16), st.data())
+def test_consumers_match_the_oracles_whatever_the_claim_order(int_pairs, data):
+    """Paths, subgraph signatures, gap scores and centrality stats of a graph
+    built from claims in a shuffled order equal what the oracles and the
+    sorted-set formulas give from the raw claims."""
+    claims = data.draw(st.permutations(
+        [ClaimEdge(f"C{u}", f"C{v}", methods=("OLS",)) for u, v in int_pairs]))
+    graph = build_graph(PaperRecord("p", 2000, edges=tuple(claims)))
+    edges = {(c.source, c.sink) for c in claims if c.source != c.sink}
+    nodes = {node for edge in edges for node in edge}
+    assert graph.edges == tuple(sorted(edges))
+    assert graph.nodes == tuple(sorted(nodes))
+    assert sorted(iter_simple_paths(graph)) == sorted(brute_force_paths(nodes, edges))
+    for size in (2, 3, 4):
+        assert list(iter_subgraph_signatures(graph, size)) == [
+            canonical_signature(combo, sub)
+            for combo, sub in induced_subgraphs(nodes, edges, size)]
+    prior = build_graph(PaperRecord("q", 1999, edges=tuple(claims[::2])))
+    table = update_pair_counts(PairCountTable(), [prior])
+    pairs = list(combinations(sorted(nodes), 2))
+    for tau in (1, 2):
+        rare = sum(table.counts.get(pair, 0) < tau for pair in pairs)
+        assert gap_filling_prop(graph, table, tau) == (rare / len(pairs) if pairs else None)
+    eigen = {f"C{i}": (i + 1) / 7 for i in range(0, 7, 2)}
+    ranks = {f"C{i}": 1 / (i + 3) for i in range(7)}
+    stats = paper_centrality_stats(graph, eigen, ranks)
+    for scores, mean, var in ((eigen, stats.mean_eigen, stats.var_eigen),
+                              (ranks, stats.mean_pagerank, stats.var_pagerank)):
+        values = [scores.get(node, 0.0) for node in nodes]
+        if not values:
+            assert mean is None and var is None
+            continue
+        assert mean == math.fsum(values) / len(values)
+        assert var == math.fsum((v - mean) ** 2 for v in values) / len(values)
 
 
 def test_build_graph_rejects_unknown_view():

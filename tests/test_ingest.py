@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
 import textwrap
 
 import pytest
 
+from claimgraph import cli
 from claimgraph.errors import DuplicatePaperError, SchemaError
 from claimgraph.ingest import (
     OutcomeTable,
@@ -15,7 +17,7 @@ from claimgraph.ingest import (
     record_to_dict,
     serialize_corpus,
 )
-from claimgraph.model import ClaimEdge, PaperRecord
+from claimgraph.model import PUB_TIERS, RELATIONSHIPS, ClaimEdge, PaperRecord
 
 GOOD_LINE = json.dumps({
     "paper_id": "p1", "year": 2001, "fields": ["labor"],
@@ -59,6 +61,10 @@ def test_blank_lines_are_skipped():
     (lambda d: d.update(
         edges=[{"source_code": "D31", "sink_code": "J62",
                 "relationship": "causes"}]), "relationship"),
+    (lambda d: d.update(pub_tier=5), "unknown pub_tier '5'"),
+    (lambda d: d.update(
+        edges=[{"source_code": "D31", "sink_code": "J62",
+                "relationship": 7}]), "unknown relationship '7'"),
 ])
 def test_bad_records_become_diagnostics(mutate, fragment):
     obj = json.loads(GOOD_LINE)
@@ -231,6 +237,30 @@ def test_repeated_problem_gets_a_diagnostic_on_every_line(edge, kind, fragment):
     assert [(d.line_no, d.kind) for d in diags] == [(1, kind), (3, kind)]
     assert all(fragment in d.message for d in diags)
     assert len(records) == (3 if kind == "unknown-method" else 1)
+
+
+def test_equal_values_parsed_from_different_lines_share_one_object():
+    def line(paper_id):
+        return json.dumps({
+            "paper_id": paper_id, "year": 2001, "fields": ["labor"],
+            "pub_tier": "Top5",
+            "edges": [{"source_code": "D31", "sink_code": "J62",
+                       "methods": ["IV"], "relationship": "direct-causal"},
+                      {"source_code": "J62", "sink_code": "D31"}]})
+
+    (a, b), diags = parse_lines(line("p1"), line("p2"))
+    assert not diags
+    assert a.edges[0].relationship is b.edges[0].relationship is RELATIONSHIPS[0]
+    assert a.edges[1].relationship is RELATIONSHIPS[RELATIONSHIPS.index("correlation")]
+    assert a.pub_tier is b.pub_tier is PUB_TIERS[0]
+    assert a.fields[0] is b.fields[0]
+
+
+def test_ingest_of_the_landmark_corpus_keeps_its_bytes(tmp_path, landmark_path):
+    out = tmp_path / "landmark.jsonl"
+    assert cli.main(["ingest", "--corpus", landmark_path, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3a8fa12041834c50f4a8f71686323c23ee2503d55253923dbe74d4abd118d496")
 
 
 def test_round_trip_of_a_synthetic_corpus_is_byte_identical():

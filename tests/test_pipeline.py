@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -526,6 +527,93 @@ def test_run_builds_each_view_graph_once(synth_run, monkeypatch):
     assert cli.main(["measures", "--corpus", config.corpus,
                      "--out", str(tmp_path / "measures.csv")]) == 0
     assert path_passes == [len(records)] * 3
+
+
+def test_run_keeps_no_frontier_past_its_scorer(synth_run, monkeypatch):
+    """Each view's novelty ledger is freed before gap scoring starts, and its
+    pair table before centrality scoring starts."""
+    import claimgraph.centrality as centrality_mod
+    import claimgraph.cooccurrence as cooccur_mod
+    import claimgraph.novelty as novelty_mod
+
+    _, config, tmp_path = synth_run
+    ledgers, tables, starts = [], [], []
+
+    def keeping_a_weakref(real, refs):
+        def score(*args, **kwargs):
+            result = real(*args, **kwargs)
+            refs.append(weakref.ref(result[1]))
+            return result
+        return score
+
+    def checked(real, label):
+        def score(*args, **kwargs):
+            starts.append(label)
+            assert all(ref() is None for ref in ledgers), f"a ledger outlived {label}"
+            if label == "centrality":
+                assert all(ref() is None for ref in tables), "a pair table outlived gaps"
+            return real(*args, **kwargs)
+        return score
+
+    monkeypatch.setattr(novelty_mod, "score_corpus",
+                        keeping_a_weakref(novelty_mod.score_corpus, ledgers))
+    monkeypatch.setattr(cooccur_mod, "score_corpus", checked(
+        keeping_a_weakref(cooccur_mod.score_corpus, tables), "gaps"))
+    monkeypatch.setattr(centrality_mod, "score_corpus",
+                        checked(centrality_mod.score_corpus, "centrality"))
+    run_pipeline(config, str(tmp_path / "out"))
+    assert (len(ledgers), len(tables)) == (2, 2)
+    assert starts == ["gaps", "centrality"] * 2 + ["centrality"]
+
+
+# Writes to argv[3], as JSON, the traced size of the corpus decoded by
+# `json.loads` and, per view, the traced peak of that view's scoring above
+# what was held when it started: its graphs and every frontier alive with
+# them. It runs in a fresh interpreter with numpy already loaded.
+_VIEW_MEMORY_PROBE = """
+import json, sys, tracemalloc
+import numpy
+from claimgraph import pipeline
+corpus, out, result = sys.argv[1:4]
+tracemalloc.start()
+with open(corpus) as fh:
+    decoded = [json.loads(line) for line in fh]
+sizes = {"decoded": tracemalloc.get_traced_memory()[0]}
+del decoded
+score_view = pipeline._score_view
+def measured(records, table, view, config):
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    score_view(records, table, view, config)
+    sizes[view] = tracemalloc.get_traced_memory()[1] - start
+pipeline._score_view = measured
+pipeline.run_pipeline(pipeline.PipelineConfig(corpus=corpus), out)
+with open(result, "w") as fh:
+    json.dump(sizes, fh)
+"""
+
+
+def test_view_scoring_memory_stays_in_budget(tmp_path, fresh_python):
+    """A view's scoring may hold at most 0.38 times the traced size of the
+    corpus decoded by `json.loads`. Both sides are measured in the same
+    interpreter, so a Python version with other object sizes scales both.
+    Python 3.11.7 read 0.484 for the full view (6.82 MB over 14.09 MB) when
+    each graph held two hash sets, a view's ledger lived through its gap
+    scoring and its pair table through its centrality scoring, and 0.283
+    (3.99 MB) with sorted-tuple graphs and each frontier freed with its
+    scorer. The whole run's peak is no gate: once the views shrink, it sits
+    in the regressions and in numpy's first-use allocations."""
+    records = random_corpus(7777, n_papers=3000, year_lo=1990, year_hi=2010,
+                            pool_size=60, max_claims=8, node_cap=10)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(records_to_jsonl(records))
+    result = tmp_path / "sizes.json"
+    code, output = fresh_python(_VIEW_MEMORY_PROBE, str(corpus), str(tmp_path / "out"),
+                                str(result), timeout=120.0)
+    assert code == 0, output
+    sizes = json.loads(result.read_text())
+    worst = max(sizes[view] for view in ("full", "causal", "noncausal"))
+    assert worst < 0.38 * sizes["decoded"], sizes
 
 
 def test_cli_regress_on_run_measures_with_merged_outcomes(synth_run):
