@@ -49,7 +49,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .regression import load_spec_file, run_regressions
-from .tableio import open_text, parse_float, parse_int, read_csv_dicts, write_rows
+from .tableio import open_text, parse_float, parse_int, read_table, write_rows
 from .trends import GROUPINGS, aggregate_trends
 
 CLI_VIEWS = ("full", "causal", "non-causal")
@@ -183,22 +183,20 @@ _REGRESS_PARSERS = {"paper_id": str, "year": _required_year,
 
 
 def cmd_regress(args):
-    entries = read_csv_dicts(args.measures)
-    # Every row holds every header key, in header order. Rows are parsed in
-    # file order and each in column order, so the error names the first bad
-    # paper, and its year before its other cells.
-    header = entries[0] if entries else {}
+    header, rows = read_table(args.measures)
     if header and "year" not in header:
         raise SchemaError(f"{args.measures}: missing column 'year'")
-    table: dict[str, list] = {column: [] for column in {**_REGRESS_PARSERS, **header}}
-    for entry in entries:
+    # Rows are parsed in file order and each in column order, so the error
+    # names the first bad paper, and its year before its other cells.
+    table: dict[str, list] = {column: [] for column in (*_REGRESS_PARSERS, *header)}
+    for _, row in rows:
         try:
             for column, values in table.items():
                 parse = _REGRESS_PARSERS.get(column, parse_float)
-                values.append(parse(entry.get(column, "")))
+                values.append(parse(row.get(column, "")))
         except ValueError as exc:
             raise SchemaError(f"{args.measures}: paper "
-                              f"{entry.get('paper_id', '')!r}: {exc}") from None
+                              f"{row.get('paper_id', '')!r}: {exc}") from None
     specs = load_spec_file(args.specs)
     results = run_regressions(table, specs, keep_errors=False)
     header = REGRESSION_COLUMNS[:-1]  # no error column: errors abort

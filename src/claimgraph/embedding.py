@@ -273,7 +273,7 @@ def fetch_remote_embeddings(texts: list[str], url: str | None = None,
         body = response.read()
     try:
         payload = json.loads(body)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # deep nesting recurses
         raise SchemaError(f"remote provider returned invalid JSON: {exc}") from None
     vectors = payload.get("vectors") if isinstance(payload, dict) else None
     if not isinstance(vectors, list) or len(vectors) != len(texts):

@@ -17,7 +17,6 @@ strict mode is on, in which case the first problem aborts the parse.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
@@ -36,7 +35,7 @@ from .model import (
     normalize_title,
     unknown_method_tags,
 )
-from .tableio import open_text
+from .tableio import open_text, read_table
 
 log = logging.getLogger(__name__)
 
@@ -181,7 +180,7 @@ def parse_corpus(lines: Iterable[str] | TextIO, strict: bool = False,
         try:
             obj = json.loads(line)
             record = _parse_record(obj, min_year, max_year)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:  # deep nesting recurses
             if strict:
                 raise SchemaError(str(exc), line_no=line_no) from None
             diagnostics.append(Diagnostic(line_no, "schema", str(exc)))
@@ -268,46 +267,41 @@ def load_outcome_table(path: str, name: str | None = None) -> OutcomeTable:
     whose paper_id is empty.
     """
     table = OutcomeTable(name=name or path)
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty outcome table")
-        cols = set(reader.fieldnames)
-        if "paper_id" not in cols and "title" not in cols:
-            raise SchemaError(f"{path}: outcome table needs a paper_id or title column")
-        for idx, row in enumerate(reader, start=2):
-            journal = (row.get("journal") or "").strip()
-            cites_raw = (row.get("citations") or "").strip()
-            citations: int | None = None
-            if cites_raw:
-                try:
-                    citations = int(cites_raw)
-                except ValueError:
-                    raise SchemaError(f"{path}: bad citations {cites_raw!r}", line_no=idx)
-                if citations < 0:
-                    raise SchemaError(f"{path}: negative citations", line_no=idx)
-            entry = {"journal": journal or None, "citations": citations}
-            pid = (row.get("paper_id") or "").strip()
-            title = (row.get("title") or "").strip()
-            if pid:
-                table.by_id[pid] = entry
-            elif title:
-                table.by_title[normalize_title(title)] = entry
+    header, rows = read_table(path)
+    if not header:
+        raise SchemaError(f"{path}: empty outcome table")
+    if "paper_id" not in header and "title" not in header:
+        raise SchemaError(f"{path}: outcome table needs a paper_id or title column")
+    for line_no, row in rows:
+        cites_raw = row.get("citations", "").strip()
+        citations: int | None = None
+        if cites_raw:
+            try:
+                citations = int(cites_raw)
+            except ValueError:
+                raise SchemaError(f"{path}: bad citations {cites_raw!r}", line_no=line_no)
+            if citations < 0:
+                raise SchemaError(f"{path}: negative citations", line_no=line_no)
+        entry = {"journal": row.get("journal", "").strip() or None,
+                 "citations": citations}
+        if pid := row.get("paper_id", "").strip():
+            table.by_id[pid] = entry
+        elif title := row.get("title", "").strip():
+            table.by_title[normalize_title(title)] = entry
     return table
 
 
 def load_rank_table(path: str) -> dict[str, str]:
     """Load (journal, tier) rows mapping normalized journal names to tiers."""
+    header, rows = read_table(path)
+    if not {"journal", "tier"} <= set(header):
+        raise SchemaError(f"{path}: rank table needs journal and tier columns")
     ranks: dict[str, str] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"journal", "tier"} <= set(reader.fieldnames):
-            raise SchemaError(f"{path}: rank table needs journal and tier columns")
-        for idx, row in enumerate(reader, start=2):
-            tier = (row.get("tier") or "").strip()
-            if tier not in PUB_TIERS:
-                raise SchemaError(f"{path}: unknown tier {tier!r}", line_no=idx)
-            ranks[(row.get("journal") or "").strip().casefold()] = tier
+    for line_no, row in rows:
+        tier = row["tier"].strip()
+        if tier not in PUB_TIERS:
+            raise SchemaError(f"{path}: unknown tier {tier!r}", line_no=line_no)
+        ranks[row["journal"].strip().casefold()] = tier
     return ranks
 
 

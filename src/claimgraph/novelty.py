@@ -188,19 +188,15 @@ def advance_year(ledger: LedgerState,
     return measures
 
 
-def score_corpus(graphs: Sequence[PaperGraph], path_len: int = DEFAULT_PATH_LEN,
-                 subgraph_size: int = DEFAULT_SUBGRAPH_SIZE,
-                 subset_cap: int = DEFAULT_SUBSET_CAP,
-                 ledger: LedgerState | None = None,
+def score_corpus(graphs: Sequence[PaperGraph], ledger: LedgerState | None = None,
                  ) -> tuple[dict[str, NoveltyMeasures], LedgerState]:
-    """Score a whole corpus of one view's graphs in year order.
+    """Score a whole corpus of one view's graphs in year order, with the
+    parameters of `ledger` (default: an empty one).
 
     Within-year input order does not affect the result. Returns measures
     keyed by paper_id plus the final ledger.
     """
-    if ledger is None:
-        ledger = LedgerState(path_len=path_len, subgraph_size=subgraph_size,
-                             subset_cap=subset_cap)
+    ledger = LedgerState() if ledger is None else ledger
     out: dict[str, NoveltyMeasures] = {}
     for _, batch in year_batches(graphs):
         for m in advance_year(ledger, batch):

@@ -115,8 +115,8 @@ _INPUT_KEYS = ("corpus", "outcomes", "ranks", "specs")
 _RANGES = {**novelty_mod.LEDGER_RANGES, "max_iter": (1, None),
            "path_cap": (1, None), "subset_cap": (1, None), "tau": (1, None)}
 # Every other key is a parameter, parsed by its field's annotated type.
-_PARSERS = {"bool": lambda v: v.lower() in ("1", "true", "yes"),
-            "int": int, "float": float, "str": str}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_PARSERS = {"bool": lambda v: _BOOLS[v.lower()], "int": int, "float": float, "str": str}
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
@@ -140,7 +140,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
         else:
             try:
                 setattr(config, key, _PARSERS[types[key]](value))
-            except ValueError:
+            except (KeyError, ValueError):
                 raise SchemaError(f"{key} must be {types[key]}, got {value!r}",
                                   line_no=line_no) from None
             if key in _RANGES:
@@ -149,6 +149,9 @@ def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
                 centrality_mod.check_damping(key, config.damping, line_no)
     if not config.corpus:
         raise SchemaError("config is missing corpus=")
+    if config.min_year > config.max_year:
+        raise SchemaError(
+            f"min_year {config.min_year} is after max_year {config.max_year}")
     return config
 
 
@@ -183,9 +186,9 @@ def _score_view(records: list[PaperRecord], table: dict[str, list], view: str,
         graphs, table["num_edges"], config.path_cap, config.epsilon))
     ids = table["paper_id"]
     if view in NOVELTY_VIEWS:
-        scores = novelty_mod.score_corpus(
-            graphs, path_len=config.path_len,
-            subgraph_size=config.subgraph_size, subset_cap=config.subset_cap)[0]
+        scores = novelty_mod.score_corpus(graphs, ledger=novelty_mod.LedgerState(
+            path_len=config.path_len, subgraph_size=config.subgraph_size,
+            subset_cap=config.subset_cap))[0]
         _put(table, _per_view(NOVELTY_MEASURES, (view,)), [scores[pid] for pid in ids])
     if view in GAP_VIEWS:
         gaps = cooccur_mod.score_corpus(graphs, tau=config.tau)[0]

@@ -12,13 +12,12 @@ log(citations + 1).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import CollinearityError, SchemaError
-from .tableio import open_text
+from .tableio import read_table
 
 # numpy is imported by the functions that compute with it, so the commands
 # that run no regression start without loading it.
@@ -240,27 +239,26 @@ def run_regressions(table: dict[str, list], specs: list[RegressionSpec],
 def load_spec_file(path: str) -> list[RegressionSpec]:
     """Read regression specs from a CSV with columns
     outcome, measure, view, fe, cluster."""
+    header, rows = read_table(path)
+    required = {"outcome", "measure", "view", "fe", "cluster"}
+    if not required <= set(header):
+        raise SchemaError(f"{path}: spec file needs columns {sorted(required)}")
     specs: list[RegressionSpec] = []
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"outcome", "measure", "view", "fe", "cluster"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise SchemaError(f"{path}: spec file needs columns {sorted(required)}")
-        for idx, row in enumerate(reader, start=2):
-            outcome = row["outcome"].strip()
-            if outcome not in OUTCOMES:
-                raise SchemaError(f"{path}: unknown outcome {outcome!r}", line_no=idx)
-            fe_raw = row["fe"].strip().lower()
-            if fe_raw not in ("0", "1", "true", "false"):
-                raise SchemaError(f"{path}: bad fe flag {fe_raw!r}", line_no=idx)
-            cluster = row["cluster"].strip() or "none"
-            if cluster not in ("by_year", "none"):
-                raise SchemaError(f"{path}: bad cluster {cluster!r}", line_no=idx)
-            specs.append(RegressionSpec(
-                outcome=outcome,
-                measure=row["measure"].strip(),
-                view=row["view"].strip(),
-                fixed_effects=fe_raw in ("1", "true"),
-                cluster=cluster,
-            ))
+    for line_no, row in rows:
+        outcome = row["outcome"].strip()
+        if outcome not in OUTCOMES:
+            raise SchemaError(f"{path}: unknown outcome {outcome!r}", line_no=line_no)
+        fe_raw = row["fe"].strip().lower()
+        if fe_raw not in ("0", "1", "true", "false"):
+            raise SchemaError(f"{path}: bad fe flag {fe_raw!r}", line_no=line_no)
+        cluster = row["cluster"].strip() or "none"
+        if cluster not in ("by_year", "none"):
+            raise SchemaError(f"{path}: bad cluster {cluster!r}", line_no=line_no)
+        specs.append(RegressionSpec(
+            outcome=outcome,
+            measure=row["measure"].strip(),
+            view=row["view"].strip(),
+            fixed_effects=fe_raw in ("1", "true"),
+            cluster=cluster,
+        ))
     return specs

@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
-from itertools import dropwhile
+from itertools import chain, zip_longest
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import SchemaError
@@ -51,17 +51,27 @@ def open_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
             raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_csv_dicts(path: str) -> list[dict[str, str]]:
-    """A CSV as header-keyed rows, after blank and '#' lines before the
-    header. A short row's missing cells are empty; a longer row raises."""
+def read_table(path: str) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+    """A header CSV's header, and each row keyed by it with the file line the
+    row ends on. Blank and '#' lines count only before the header; a short
+    row's missing cells are empty, and a longer row raises."""
     with open_text(path, newline="") as fh:
-        lines = dropwhile(lambda line: not line.strip() or line.startswith("#"), fh)
-        rows = list(csv.DictReader(lines, restval=""))
-    for row in rows:
-        if None in row:  # DictReader's key for the cells past the header
-            raise SchemaError(f"{path}: row {next(iter(row.values()))!r} "
-                              "has more cells than the header")
-    return rows
+        skipped = 0
+        for line in fh:
+            if line.strip() and not line.startswith("#"):
+                break
+            skipped += 1
+        else:
+            return [], []
+        reader = csv.reader(chain([line], fh))
+        header, rows = next(reader), []
+        for cells in filter(None, reader):  # blank lines read as []
+            if len(cells) > len(header):
+                raise SchemaError(f"{path}: row {cells[0]!r} has more cells "
+                                  "than the header")
+            rows.append((skipped + reader.line_num,
+                         dict(zip_longest(header, cells, fillvalue=""))))
+    return header, rows
 
 
 def parse_float(cell: str) -> float | None:

@@ -6,6 +6,7 @@ import pytest
 
 import claimgraph
 from claimgraph.ingest import parse_corpus_file
+from claimgraph.tableio import read_table
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 LANDMARK_PATH = os.path.join(DATA_DIR, "landmark_corpus.jsonl")
@@ -16,6 +17,11 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(claimgraph.__file__)))
 # the tests, from a checkout as well as from an installed package.
 CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)}
+
+
+def read_csv_dicts(path: str) -> list[dict[str, str]]:
+    """A CSV file's rows keyed by its header, as `read_table` reads them."""
+    return [row for _, row in read_table(path)[1]]
 
 
 @pytest.fixture(scope="session")

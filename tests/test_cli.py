@@ -72,13 +72,22 @@ def test_out_file_and_stdout_get_the_same_bytes(tmp_path, landmark_path, command
         "--specs", _write(tmp_path, "s.csv", SPECS.replace(
             "prop_causal_edges", "no_such_column"))],
      "claimgraph: no usable rows for Top5 ~ no_such_column\n"),
-], ids=["measures-path-cap", "regress-missing-column"])
+    (lambda tmp_path, corpus: [
+        "regress", "--measures", _write(tmp_path, "m.csv", MEASURES),
+        "--specs", _write(tmp_path, "s.csv", SPECS.replace(",,0,none", ""))],
+     "claimgraph: line 2: {tmp}/s.csv: bad fe flag ''\n"),
+    (lambda tmp_path, corpus: [
+        "ingest", "--corpus", corpus, "--outcomes", _write(
+            tmp_path, "o.csv", "paper_id,journal,citations\nmobility14,aer,1,x\n")],
+     "claimgraph: {tmp}/o.csv: row 'mobility14' has more cells than the header\n"),
+], ids=["measures-path-cap", "regress-missing-column", "regress-short-spec-row",
+        "ingest-long-outcome-row"])
 def test_failed_command_leaves_no_out_file(tmp_path, landmark_path, capsys,
                                           make_argv, message):
     out = tmp_path / "out.csv"
     code, stdout, err = _main([*make_argv(tmp_path, landmark_path),
                                "--out", str(out)], capsys)
-    assert (code, stdout, err) == (1, "", message)
+    assert (code, stdout, err) == (1, "", message.format(tmp=tmp_path))
     assert not out.exists()
 
 

@@ -76,16 +76,22 @@ def test_bad_records_become_diagnostics(mutate, fragment):
     assert fragment in diags[0].message
 
 
+# JSON nested deeper than the decoder's recursion limit.
+DEEP_LINE = "[" * 100_000 + "]" * 100_000
+
+
 def test_diagnostics_carry_line_numbers():
-    records, diags = parse_lines(GOOD_LINE, "{not json", GOOD_LINE.replace("p1", "p2"))
+    records, diags = parse_lines(GOOD_LINE, "{not json", DEEP_LINE,
+                                 GOOD_LINE.replace("p1", "p2"))
     assert len(records) == 2
-    assert [d.line_no for d in diags] == [2]
+    assert [(d.line_no, d.kind) for d in diags] == [(2, "schema"), (3, "schema")]
 
 
 def test_strict_mode_raises_with_line_number():
-    with pytest.raises(SchemaError) as err:
-        parse_lines(GOOD_LINE, "{broken", strict=True)
-    assert err.value.line_no == 2
+    for bad in ("{broken", DEEP_LINE):
+        with pytest.raises(SchemaError) as err:
+            parse_lines(GOOD_LINE, bad, strict=True)
+        assert err.value.line_no == 2
 
 
 @pytest.mark.parametrize("key, value", [

@@ -367,7 +367,8 @@ def _serve(status, body):
     (200, b"[1, 2]", SchemaError),
     (200, b'{"vectors": [["x"]]}', SchemaError),
     (500, b"{}", OSError),
-], ids=["invalid-json", "not-an-object", "not-numeric", "http-500"])
+    (200, b"[" * 100_000 + b"]" * 100_000, SchemaError),
+], ids=["invalid-json", "not-an-object", "not-numeric", "http-500", "deeply-nested"])
 def test_remote_fetch_errors(status, body, error):
     server = _serve(status, body)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -288,12 +288,19 @@ def as_tuples(graphs):
     return [(g.paper_id, g.year, g.nodes, g.edges) for g in graphs]
 
 
+def test_score_corpus_takes_its_parameters_from_the_ledger_only():
+    graphs = corpus_graphs(random_corpus(11, n_papers=10, year_lo=1991,
+                                         year_hi=1992, pool_size=8, max_claims=4))
+    with pytest.raises(TypeError):
+        score_corpus(graphs, path_len=5, ledger=LedgerState())
+
+
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_score_corpus_matches_from_scratch_oracle(seed):
     records = random_corpus(seed, n_papers=40, year_lo=1991, year_hi=1993,
                             pool_size=14, max_claims=6)
     graphs = corpus_graphs(records)
-    got, _ = score_corpus(graphs, path_len=3, subgraph_size=3)
+    got, _ = score_corpus(graphs, ledger=LedgerState(path_len=3, subgraph_size=3))
     want = novelty_from_scratch(as_tuples(graphs), path_len=3, subgraph_size=3)
     assert set(got) == set(want)
     for pid, (n_e, n_p, n_s, d_e, d_p, d_s) in want.items():

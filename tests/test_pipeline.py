@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from claimgraph import cli
-from conftest import CLI_ENV
+from conftest import CLI_ENV, read_csv_dicts
 from synth import random_corpus, records_to_jsonl, rows_to_columns
 from claimgraph.errors import SchemaError
 from claimgraph.ingest import parse_corpus_file
@@ -25,7 +25,7 @@ from claimgraph.pipeline import (
     run_pipeline,
     run_regressions,
 )
-from claimgraph.tableio import parse_float, read_csv_dicts
+from claimgraph.tableio import parse_float
 
 EXPECTED_FILES = [
     "measures.csv", "novelty.csv", "gaps.csv", "centrality.csv",
@@ -52,6 +52,13 @@ strict = true
     assert config.tau == 7
     assert config.damping == 0.9
     assert config.strict is True
+
+
+@pytest.mark.parametrize("value, want", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False),
+    ("NO", False)])
+def test_config_strict_takes_six_spellings_in_any_case(value, want):
+    assert parse_config_text(f"corpus=x\nstrict = {value}\n").strict is want
 
 
 def test_config_rejects_unknown_keys():
@@ -742,6 +749,12 @@ def _config_value(key, value):
     return make
 
 
+def _config_short_spec_row(tmp_path):
+    specs = tmp_path / "specs.csv"
+    specs.write_text("outcome,measure,view,fe,cluster\nTop5,longest_path\n")
+    return _config_value("specs", specs)(tmp_path)
+
+
 def _regress_without_year(tmp_path):
     measures = tmp_path / "noyear.csv"
     measures.write_text("paper_id,pub_tier,citations,prop_causal_edges\n"
@@ -795,12 +808,16 @@ def _flag_mismatch(flag, value):
     (_corpus_flag("measures", "--path-cap", "-1"),
      "--path-cap must be >= 1, got -1"),
     (_corpus_flag("gaps", "--tau", "-2"), "--tau must be >= 1, got -2"),
+    (_config_value("strict", "ture"), "line 2: strict must be bool, got 'ture'"),
+    (_config_value("min_year", 2030), "min_year 2030 is after max_year 2023"),
+    (_config_short_spec_row, "specs.csv: bad fe flag ''"),
 ], ids=["ledger-header", "pair-row", "unseen-code", "config-value", "path-len",
         "subgraph-size", "subgraph-size-flag", "subgraph-size-config",
         "subgraph-size-ledger", "regress-no-year", "regress-empty-year",
         "max-iter-config", "path-len-flag", "path-len-config",
         "path-len-ledger", "path-cap-config", "subset-cap-config", "tau-config",
-        "path-cap-flag", "tau-flag"])
+        "path-cap-flag", "tau-flag", "strict-config", "year-order-config",
+        "config-short-spec-row"])
 def test_cli_boundary_errors_are_one_line(tmp_path, make_argv, message):
     proc = run_cli(*make_argv(tmp_path), expect=1)
     assert proc.stderr.startswith("claimgraph: ")

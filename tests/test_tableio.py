@@ -1,17 +1,23 @@
 """The CSV layer: `csv` formats every cell `write_rows` writes, and
-`read_csv_dicts` reads back every row, whatever its cells hold."""
+`read_table`, the one reader of header CSV files, reads back every row,
+whatever its cells hold."""
 
+import ast
 import io
+import os
 
 import numpy as np
 import pytest
 
+import claimgraph
+from conftest import read_csv_dicts
 from synth import random_corpus
 from claimgraph.errors import SchemaError
+from claimgraph.ingest import load_outcome_table, load_rank_table
 from claimgraph.pipeline import (PipelineConfig, compute_measure_table,
                                  default_battery)
-from claimgraph.regression import run_regressions
-from claimgraph.tableio import format_cell, read_csv_dicts, write_csv, write_rows
+from claimgraph.regression import load_spec_file, run_regressions
+from claimgraph.tableio import format_cell, read_table, write_csv, write_rows
 from claimgraph.trends import GROUPINGS, aggregate_trends
 
 CELLS = [None, 0.1, 1 / 3, 1e-300, -0.0, float("nan"), float("inf"),
@@ -76,6 +82,21 @@ def test_an_empty_file_has_no_rows(tmp_path):
     assert _read(tmp_path, "# only a comment\n\n") == []
 
 
+def test_a_table_without_rows_has_its_header(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# about\na,b\n\n")
+    assert read_table(str(path)) == (["a", "b"], [])
+
+
+def test_each_row_carries_the_file_line_it_ends_on(tmp_path):
+    # A blank line after the header, and a quoted cell over two lines.
+    path = tmp_path / "t.csv"
+    path.write_text('\n# about\na,b\n\np0,1\n"x\ny",2\np2,3\n')
+    assert read_table(str(path))[1] == [
+        (5, {"a": "p0", "b": "1"}), (7, {"a": "x\ny", "b": "2"}),
+        (8, {"a": "p2", "b": "3"})]
+
+
 # `str.splitlines` breaks lines at \x1c, \x85 and \u2028 too; `csv` does not.
 ODD_CELLS = ["", "#p1", "x\n#y", "a\r\nb", "\n", '"', ",", "#", "a\x1cb",
              "a\x85b", "a\u2028b", " ", "\r\n#c"]
@@ -86,3 +107,60 @@ def test_read_csv_dicts_reads_back_every_row_write_csv_writes(tmp_path):
     rows = [[cell, "1"] for cell in ODD_CELLS] + [["1", cell] for cell in ODD_CELLS]
     write_csv(path, ["a", "b"], rows, comment="a comment")
     assert [[row["a"], row["b"]] for row in read_csv_dicts(path)] == rows
+
+
+def test_only_tableio_imports_csv():
+    package = os.path.dirname(claimgraph.__file__)
+    importers = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        modules = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names]
+        modules += [node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 0]
+        if any(module.split(".")[0] == "csv" for module in modules):
+            importers.append(name)
+    assert importers == ["tableio.py"]
+
+
+# Each loader reads through `read_table`: its messages give the line a row
+# ends on, and no row breaks it with a traceback.
+LOADERS = {"outcome": load_outcome_table, "rank": load_rank_table,
+           "spec": load_spec_file}
+
+
+@pytest.mark.parametrize("loader, text, message", [
+    ("outcome", "paper_id,journal,citations\n\np1,AER,x\n",
+     "line 3: {path}: bad citations 'x'"),
+    ("outcome", 'paper_id,title,journal,citations\n,"A\nB",AER,1\np1,,AER,-1\n',
+     "line 4: {path}: negative citations"),
+    ("rank", "journal,tier\n\naer,Top5\nqje,Top1\n",
+     "line 4: {path}: unknown tier 'Top1'"),
+    ("rank", 'journal,tier\n"Journal of\nFinance",Top6to20\nqje,Top1\n',
+     "line 4: {path}: unknown tier 'Top1'"),
+    ("spec", "outcome,measure,view,fe,cluster\n\nTop5,longest_path,,2,none\n",
+     "line 3: {path}: bad fe flag '2'"),
+    ("spec", "outcome,measure,view,fe,cluster\nTop5,longest_path\n",
+     "line 2: {path}: bad fe flag ''"),
+    ("outcome", "paper_id,journal,citations\np1,AER,3,extra\n",
+     "{path}: row 'p1' has more cells than the header"),
+], ids=["outcome-blank-line", "outcome-quoted-newline", "rank-blank-line",
+        "rank-quoted-newline", "spec-blank-line", "spec-short-row",
+        "outcome-long-row"])
+def test_loaders_name_the_true_line_of_a_bad_row(tmp_path, loader, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as err:
+        LOADERS[loader](str(path))
+    assert str(err.value) == message.format(path=path)
+
+
+def test_comment_lines_before_an_outcome_tables_header_are_skipped(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# exported from a citation index\n\npaper_id,journal,citations\n"
+                    "p1,AER,3\n")
+    table = load_outcome_table(str(path))
+    assert table.by_id == {"p1": {"journal": "AER", "citations": 3}}
