@@ -226,7 +226,7 @@ def cmd_match(args):
     else:
         table = load_embedding_table(args.queries)
     rows = []
-    for query_id, vec in zip(table.ids, table.matrix):
+    for query_id, vec in table.rows():
         if args.threshold is not None:
             for rank, m in enumerate(
                     match_concept_all(vec, index, args.threshold, query_id),

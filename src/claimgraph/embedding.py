@@ -2,8 +2,7 @@
 
 Vectors arrive from a local delimited table (id, v1, ..., vD) or, when
 configured through environment variables, from a remote HTTP provider. No
-embedding model ships with the package and the pipeline never requires the
-remote mode.
+embedding model ships with the package.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import os
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SchemaError
 from .tableio import open_text
@@ -30,8 +29,8 @@ ENV_REMOTE_TOKEN = "CLAIMGRAPH_EMBED_TOKEN"
 
 @dataclass
 class EmbeddingIndex:
-    """Embedding vectors for candidate concept codes: one n x d matrix of
-    `_scale`d float64 rows and each row's norm as `cosine_similarity` has it."""
+    """Vectors of concept codes: one n x d matrix of `_scale_rows`d float64
+    rows, and their `_norms`."""
 
     ids: list[str]
     matrix: np.ndarray
@@ -41,74 +40,76 @@ class EmbeddingIndex:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
+    def rows(self) -> Iterable[tuple[str, "CheckedVector"]]:
+        """(id, row) pairs; a query row is scored as stored."""
+        return zip(self.ids, map(CheckedVector, self.matrix, self.norms.tolist()))
+
     @classmethod
     def from_rows(cls, rows: list[tuple[str, list[float]]],
                   source: str = "embeddings") -> "EmbeddingIndex":
         """Index of (id, vector) rows; errors name `source` and the id."""
-        return _build(((entry_id, vec, None) for entry_id, vec in rows), source)
+        return _build(((entry_id, list(vec), None) for entry_id, vec in rows),
+                      source)
 
 
-def _scale(vec: np.ndarray) -> np.ndarray:
-    """Scale `vec` in place by the power of two that puts its largest |entry|
-    in [0.5, 1), which changes no cosine; returns `vec`."""
+class CheckedVector(NamedTuple):
+    """A finite non-zero vector, `_scale_rows`d, and its norm."""
+
+    values: np.ndarray
+    norm: float
+
+
+def _scale_rows(matrix: np.ndarray) -> tuple[int, str] | None:
+    """Scale each row in place by the power of two that puts its largest
+    |entry| in [0.5, 1), which changes no cosine. If a row has no cosine,
+    scale nothing and return the first such row and why."""
     import numpy as np
-    _, exponent = np.frexp(np.abs(vec).max())
-    return np.ldexp(vec, -exponent, out=vec)
-
-
-def _vector_norm(vec: np.ndarray) -> float:
-    """Norm of a scaled vector, as `cosine_similarity` computes it."""
-    return math.sqrt(math.fsum((vec * vec).tolist()))
-
-
-def _defect(vec: np.ndarray, norm: float) -> str | None:
-    """Why `vec` has no cosine similarity, or None."""
-    import numpy as np
-    if not np.isfinite(vec).all():
-        return "non-finite value"
-    if norm == 0.0:
-        return "zero vector"
+    peaks = np.maximum(matrix.max(axis=1), -matrix.min(axis=1))  # NaN carries
+    bad = np.flatnonzero(~((peaks > 0.0) & (peaks < math.inf)))
+    if bad.size:
+        k = int(bad[0])
+        return k, "zero vector" if peaks[k] == 0.0 else "non-finite value"
+    np.ldexp(matrix, -np.frexp(peaks)[1][:, None], out=matrix)
     return None
 
 
-def _build(rows: Iterable[tuple[str, Iterable[float], int | None]],
+def _norms(matrix: np.ndarray) -> list[float]:
+    """Each scaled row's norm. Rows are squared one at a time, so no
+    temporary grows with the matrix."""
+    return [math.sqrt(math.fsum((row * row).tolist())) for row in matrix]
+
+
+def _build(rows: Iterable[tuple[str, list[float], int | None]],
            source: str) -> EmbeddingIndex:
-    """Parse (id, values, line number) rows straight into one matrix."""
+    """Parse (id, values, line number) rows into one matrix, then check,
+    scale and norm it."""
     import numpy as np
-    ids: list[str] = []
-    line_nos: list[int | None] = []
-    seen: set[str] = set()
+    line_nos: dict[str, int | None] = {}  # id -> line, row order
     values = array("d")
     dim = 0
     for entry_id, vec, line_no in rows:
-        start = len(values)
-        values.extend(vec)
-        width = len(values) - start
-        if not ids:
-            dim = width
+        values.fromlist(vec)
+        if not line_nos:
+            dim = len(vec)
             if dim == 0:
                 raise SchemaError(f"{source}: embedding vectors must be non-empty",
                                   line_no=line_no)
-        elif width != dim:
+        elif len(vec) != dim:
             raise SchemaError(f"{source}: dimension mismatch for {entry_id!r}: "
-                              f"{width} != {dim}", line_no=line_no)
-        if entry_id in seen:
+                              f"{len(vec)} != {dim}", line_no=line_no)
+        if entry_id in line_nos:
             raise SchemaError(f"{source}: duplicate embedding id {entry_id!r}",
                               line_no=line_no)
-        seen.add(entry_id)
-        ids.append(entry_id)
-        line_nos.append(line_no)
-    if not ids:
+        line_nos[entry_id] = line_no
+    if not line_nos:
         raise SchemaError(f"{source}: no embedding vectors")
+    ids = list(line_nos)
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
-    norms = np.empty(len(ids))
-    for k, row in enumerate(matrix):
-        norms[k] = _vector_norm(_scale(row))
-        problem = _defect(row, norms[k])
-        if problem is not None:
-            raise SchemaError(f"{source}: {problem} for {ids[k]!r}",
-                              line_no=line_nos[k])
-    return EmbeddingIndex(ids=ids, matrix=matrix, norms=norms)
+    if defect := _scale_rows(matrix):
+        k, problem = defect
+        raise SchemaError(f"{source}: {problem} for {ids[k]!r}",
+                          line_no=line_nos[ids[k]])
+    return EmbeddingIndex(ids=ids, matrix=matrix, norms=np.array(_norms(matrix)))
 
 
 def load_embedding_table(path: str) -> EmbeddingIndex:
@@ -128,20 +129,10 @@ def _table_rows(lines: Iterable[str], path: str):
             raise SchemaError(f"{path}: embedding row needs id and values",
                               line_no=line_no)
         try:
-            vec = [float(p) for p in parts[1:]]
+            vec = list(map(float, parts[1:]))
         except ValueError as exc:
             raise SchemaError(f"{path}: {exc}", line_no=line_no) from None
         yield parts[0].strip(), vec, line_no
-
-
-def _dot(a: list[float], b: list[float]) -> float:
-    # fsum keeps the accumulation exact, so near-ties rank stably across
-    # platforms and input orderings.
-    return math.fsum(x * y for x, y in zip(a, b))
-
-
-def _norm(a: list[float]) -> float:
-    return math.sqrt(math.fsum(x * x for x in a))
 
 
 def _cosine(dot: float, norm_a: float, norm_b: float) -> float:
@@ -158,12 +149,13 @@ def cosine_similarity(a: list[float], b: list[float]) -> float:
     import numpy as np
     if len(a) != len(b):
         raise SchemaError(f"dimension mismatch: {len(a)} != {len(b)}")
-    a, b = (_scale(np.array(v, dtype=np.float64)).tolist() for v in (a, b))
-    norm_a = _norm(a)
-    norm_b = _norm(b)
-    if not 0.0 < norm_a * norm_b < math.inf:  # NaN and inf carry into norms
+    pair = np.array([a, b], dtype=np.float64)
+    if _scale_rows(pair):
         raise ValueError("cosine similarity undefined for zero or non-finite vectors")
-    return _cosine(_dot(a, b), norm_a, norm_b)
+    # fsum keeps the accumulation exact, so near-ties rank stably across
+    # platforms and input orderings.
+    dot = math.fsum(x * y for x, y in zip(*pair.tolist()))
+    return _cosine(dot, *_norms(pair))
 
 
 @dataclass(frozen=True)
@@ -179,8 +171,8 @@ class _Scorer:
     score.
 
     Margin on |approximate - exact| cosine, for finite non-zero rows and
-    query scaled by `_scale`, u = 2**-53 (Higham, "Accuracy and Stability of
-    Numerical Algorithms", 2nd ed., section 3.1):
+    query scaled by `_scale_rows`, u = 2**-53 (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., section 3.1):
     - Scaled entries lie below 1, each vector's largest at least 1/2, so
       nothing overflows and |x||y| >= 1/4; an underflow errs by <= 2**-1075.
     - `matrix @ q` sums d products in any order, with or without FMA, within
@@ -195,22 +187,22 @@ class _Scorer:
 
     def __init__(self, query, index: EmbeddingIndex, query_id: str):
         import numpy as np
-        q = np.array(query, dtype=np.float64)
+        q, norm = query if isinstance(query, CheckedVector) else (
+            np.array(query, dtype=np.float64), None)
         if q.shape != (index.dim,):
             raise SchemaError(f"query {query_id!r}: dimension mismatch: "
                               f"{q.size} != {index.dim}")
-        norm = _vector_norm(_scale(q))
-        problem = _defect(q, norm)
-        if problem is not None:
-            raise SchemaError(f"query {query_id!r}: {problem}")
+        if norm is None:
+            if defect := _scale_rows(q[None]):
+                raise SchemaError(f"query {query_id!r}: {defect[1]}")
+            norm, = _norms(q[None])
         self.q, self.norm, self.index = q, norm, index
         self.margin = 4 * (index.dim + 4) * 2.0 ** -53
         self.approx = np.clip(index.matrix @ q / (index.norms * norm), -1.0, 1.0)
 
     def rows_at_least(self, floor: float) -> np.ndarray:
         """Every row whose exact score may reach `floor`."""
-        import numpy as np
-        return np.flatnonzero(self.approx >= floor - self.margin)
+        return (self.approx >= floor - self.margin).nonzero()[0]
 
     def exact(self, k: int) -> float:
         dot = math.fsum((self.index.matrix[k] * self.q).tolist())
@@ -240,9 +232,8 @@ def match_concept_all(query: list[float], index: EmbeddingIndex,
     scorer = _Scorer(query, index, query_id)
     matches = [Match(query_id=query_id, code=index.ids[k], score=scorer.exact(k))
                for k in scorer.rows_at_least(threshold)]
-    kept = [m for m in matches if m.score >= threshold]
-    kept.sort(key=lambda m: (-m.score, m.code))
-    return kept
+    return sorted((m for m in matches if m.score >= threshold),
+                  key=lambda m: (-m.score, m.code))
 
 
 def remote_provider_configured() -> bool:
@@ -256,7 +247,7 @@ def fetch_remote_embeddings(texts: list[str], url: str | None = None,
 
     The endpoint receives {"texts": [...]} and must answer
     {"vectors": [[...], ...]} with matching length. HTTP and connection
-    failures raise OSError subclasses (urllib.error.URLError).
+    failures raise OSError subclasses.
     """
     import urllib.request  # slow to import, and only this call needs it
     url = url or os.environ.get(ENV_REMOTE_URL)
@@ -278,7 +269,7 @@ def fetch_remote_embeddings(texts: list[str], url: str | None = None,
     vectors = payload.get("vectors") if isinstance(payload, dict) else None
     if not isinstance(vectors, list) or len(vectors) != len(texts):
         raise SchemaError("remote provider returned a malformed response")
-    out: list[list[float]] = []
+    out = []
     for vec in vectors:
         if not isinstance(vec, list):
             raise SchemaError("remote provider vector is not a list")

@@ -131,7 +131,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
         key, sep, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if not sep or key not in types:
+        if not sep or key not in types or "\0" in value:  # no path holds NUL
             raise SchemaError(f"bad config line {raw!r}", line_no=line_no)
         if key == "outcomes":
             config.outcomes = [os.path.join(base_dir, p) for p in split_paths(value)]
@@ -168,6 +168,9 @@ MEASURE_COLUMNS: list[str] = (
     + _per_view(CENTRALITY_STATS, CENTRALITY_VIEWS)
     + _per_view(Z_STATS, CENTRALITY_VIEWS)
 )
+
+# The measures.csv columns a spec may regress on: every numeric one.
+_REGRESSORS = frozenset(MEASURE_COLUMNS) - {"paper_id", "pub_tier", "outcome_source"}
 
 
 def _put(table: dict[str, list], columns: list[str], results) -> None:
@@ -295,6 +298,13 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineRun:
         except ClaimGraphError as exc:
             raise PipelineStageError("merge-outcomes", exc) from exc
 
+    # The specs are checked before any output is computed or written.
+    try:
+        specs = (load_spec_file(config.specs, _REGRESSORS)
+                 if config.specs else default_battery())
+    except ClaimGraphError as exc:
+        raise PipelineStageError("regress", exc) from exc
+
     try:
         table = compute_measure_table(records, config)
     except ClaimGraphError as exc:
@@ -319,11 +329,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineRun:
               chain.from_iterable(zip(*view_rows)))
 
     try:
-        if config.specs:
-            specs = load_spec_file(config.specs)
-            reg_rows = run_regressions(table, specs, keep_errors=False)
-        else:
-            reg_rows = run_regressions(table, default_battery(), keep_errors=True)
+        reg_rows = run_regressions(table, specs, keep_errors=not config.specs)
     except ClaimGraphError as exc:
         raise PipelineStageError("regress", exc) from exc
     write_csv_dicts(os.path.join(out_dir, "regressions.csv"),

@@ -13,6 +13,7 @@ log(citations + 1).
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -236,9 +237,11 @@ def run_regressions(table: dict[str, list], specs: list[RegressionSpec],
     return out
 
 
-def load_spec_file(path: str) -> list[RegressionSpec]:
+def load_spec_file(path: str, columns: Collection[str] | None = None,
+                   ) -> list[RegressionSpec]:
     """Read regression specs from a CSV with columns
-    outcome, measure, view, fe, cluster."""
+    outcome, measure, view, fe, cluster. With `columns`, each spec's measure
+    column must be one of them."""
     header, rows = read_table(path)
     required = {"outcome", "measure", "view", "fe", "cluster"}
     if not required <= set(header):
@@ -254,11 +257,15 @@ def load_spec_file(path: str) -> list[RegressionSpec]:
         cluster = row["cluster"].strip() or "none"
         if cluster not in ("by_year", "none"):
             raise SchemaError(f"{path}: bad cluster {cluster!r}", line_no=line_no)
-        specs.append(RegressionSpec(
+        spec = RegressionSpec(
             outcome=outcome,
             measure=row["measure"].strip(),
             view=row["view"].strip(),
             fixed_effects=fe_raw in ("1", "true"),
             cluster=cluster,
-        ))
+        )
+        if columns is not None and spec.column not in columns:
+            raise SchemaError(f"{path}: unknown measure column {spec.column!r}",
+                              line_no=line_no)
+        specs.append(spec)
     return specs

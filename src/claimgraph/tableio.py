@@ -54,7 +54,8 @@ def open_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
 def read_table(path: str) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
     """A header CSV's header, and each row keyed by it with the file line the
     row ends on. Blank and '#' lines count only before the header; a short
-    row's missing cells are empty, and a longer row raises."""
+    row's missing cells are empty, and a longer row raises. So does text
+    `csv` cannot parse strictly, such as an unterminated quote."""
     with open_text(path, newline="") as fh:
         skipped = 0
         for line in fh:
@@ -63,14 +64,18 @@ def read_table(path: str) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
             skipped += 1
         else:
             return [], []
-        reader = csv.reader(chain([line], fh))
-        header, rows = next(reader), []
-        for cells in filter(None, reader):  # blank lines read as []
-            if len(cells) > len(header):
-                raise SchemaError(f"{path}: row {cells[0]!r} has more cells "
-                                  "than the header")
-            rows.append((skipped + reader.line_num,
-                         dict(zip_longest(header, cells, fillvalue=""))))
+        reader = csv.reader(chain([line], fh), strict=True)
+        try:
+            header, rows = next(reader), []
+            for cells in filter(None, reader):  # blank lines read as []
+                if len(cells) > len(header):
+                    raise SchemaError(f"{path}: row {cells[0]!r} has more cells "
+                                      "than the header")
+                rows.append((skipped + reader.line_num,
+                             dict(zip_longest(header, cells, fillvalue=""))))
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: {exc}",
+                              line_no=skipped + reader.line_num) from None
     return header, rows
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import http.server
 import json
 import math
@@ -5,6 +6,7 @@ import random
 import re
 import socket
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from claimgraph import cli
 from claimgraph.embedding import (
     EmbeddingIndex,
+    _build,
     Match,
     cosine_similarity,
     fetch_remote_embeddings,
@@ -464,3 +467,167 @@ def test_cli_remote_vectors_are_validated(tmp_path, capsys, monkeypatch, body,
     assert not thread.is_alive()
     assert code == 1
     assert err == f"claimgraph: {message}\n"
+
+
+# --- each vector is checked, scaled and normed once, when its table loads ----
+
+
+def reference_build(rows, source):
+    """The row-by-row loader `_build` replaced: (ids, matrix, norms), each
+    row checked, scaled and normed on its own. Unlike it, this checks a row
+    for non-finite values before its norm, whose `fsum` could overflow."""
+    ids, line_nos, vectors, norms = [], [], [], []
+    for entry_id, vec, line_no in rows:
+        if not ids and not vec:
+            raise SchemaError(f"{source}: embedding vectors must be non-empty",
+                              line_no=line_no)
+        if ids and len(vec) != len(vectors[0]):
+            raise SchemaError(f"{source}: dimension mismatch for {entry_id!r}: "
+                              f"{len(vec)} != {len(vectors[0])}", line_no=line_no)
+        if entry_id in ids:
+            raise SchemaError(f"{source}: duplicate embedding id {entry_id!r}",
+                              line_no=line_no)
+        ids.append(entry_id)
+        line_nos.append(line_no)
+        vectors.append(vec)
+    if not ids:
+        raise SchemaError(f"{source}: no embedding vectors")
+    matrix = np.array(vectors, dtype=np.float64)
+    for entry_id, line_no, row in zip(ids, line_nos, matrix):
+        if not np.isfinite(row).all():
+            raise SchemaError(f"{source}: non-finite value for {entry_id!r}",
+                              line_no=line_no)
+        _, exponent = np.frexp(np.abs(row).max())
+        np.ldexp(row, -exponent, out=row)
+        norms.append(math.sqrt(math.fsum((row * row).tolist())))
+        if norms[-1] == 0.0:
+            raise SchemaError(f"{source}: zero vector for {entry_id!r}",
+                              line_no=line_no)
+    return ids, matrix, norms
+
+
+def _outcome(build, rows):
+    """What `build` gives: the index as bytes, or its error's text and line."""
+    try:
+        ids, matrix, norms = build(rows, "t.csv")
+    except SchemaError as exc:
+        return "error", str(exc), exc.line_no
+    return ids, matrix.tobytes(), np.array(norms, dtype=np.float64).tobytes()
+
+
+def _built(rows, source):
+    index = _build(rows, source)
+    return index.ids, index.matrix, index.norms
+
+
+ROW_KINDS = ["plain"] * 8 + ["nan", "inf", "-inf", "zero", "wider", "narrower",
+                             "repeat-id"]
+
+
+@st.composite
+def tables(draw):
+    """Random (id, values, line) rows; some are non-finite, zero, of another
+    width or repeat an id, and their norms run from 2**-1000 to 2**1000."""
+    dim = draw(st.integers(1, 6))
+    rows = []
+    for k in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        scale = 2.0 ** draw(st.sampled_from(NORM_EXPONENTS))
+        vec = [x * scale for x in draw(st.lists(st.floats(-4, 4), min_size=dim,
+                                                max_size=dim))]
+        spot = draw(st.integers(0, dim - 1))
+        if kind in ("nan", "inf", "-inf"):
+            vec[spot] = float(kind)
+        elif kind == "zero":
+            vec = [draw(st.sampled_from([0.0, -0.0])) for _ in vec]
+        elif kind == "wider":
+            vec.append(1.0)
+        elif kind == "narrower":
+            vec.pop()
+        entry_id = f"C{k}"
+        if kind == "repeat-id" and rows:
+            entry_id = draw(st.sampled_from(rows))[0]
+        rows.append((entry_id, vec, 2 * k + 3))
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=tables())
+def test_bulk_build_equals_row_by_row_reference(rows):
+    """The same matrix and norm bits, or the same first error and line."""
+    assert _outcome(_built, rows) == _outcome(reference_build, rows)
+
+
+def test_a_non_finite_row_is_reported_before_its_norm_is_summed():
+    """The squares of 1e154 are finite but their sum is not, so `fsum` raised
+    OverflowError when a row's norm came before its finiteness check."""
+    row = [math.inf, 1e154, 1e154]
+    with pytest.raises(SchemaError, match="non-finite value for 'B2'"):
+        EmbeddingIndex.from_rows([("A1", [1.0, 0.0, 0.0]), ("B2", row)])
+    with pytest.raises(ValueError, match="undefined"):
+        cosine_similarity(row, [1.0, 1.0, 1.0])
+
+
+def test_query_rows_are_scored_with_their_stored_norm():
+    """A table row passed as a query scores as its raw values do."""
+    rng = np.random.default_rng(3)
+    codes = [(f"C{k}", (rng.standard_normal(24) * 2.0 ** k).tolist())
+             for k in range(-40, 40, 7)]
+    queries = [(f"q{k}", rng.standard_normal(24).tolist()) for k in range(20)]
+    index = EmbeddingIndex.from_rows(codes)
+    table = EmbeddingIndex.from_rows(queries, source="queries")
+    for (query_id, row), (_, raw) in zip(table.rows(), queries):
+        assert bits([match_concept(row, index, query_id)]) == \
+            bits([match_concept(raw, index, query_id)])
+        assert bits(match_concept_all(row, index, 0.1, query_id)) == \
+            bits(match_concept_all(raw, index, 0.1, query_id))
+
+
+def test_loading_a_table_holds_little_beyond_its_matrix(tmp_path):
+    """The traced peak of loading a 200 x 384 table stays under 1.5 times
+    its matrix. Collecting the rows as lists of floats, or squaring the
+    whole matrix into one list, would take about four times it."""
+    rng = random.Random(5)
+    path = tmp_path / "emb.csv"
+    path.write_text("".join(
+        f"C{k}," + ",".join(f"{rng.gauss(0.0, 1.0):.6f}" for _ in range(384))
+        + "\n" for k in range(200)))
+    load_embedding_table(str(path))  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        index = load_embedding_table(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * index.matrix.nbytes
+
+
+def test_cli_match_output_bytes_are_pinned(tmp_path):
+    """Every score is an exact `fsum` cosine, so the bytes do not depend on
+    the BLAS build. Six index rows repeat another's vector, making ties."""
+    rng = random.Random(11)
+    codes = [f"{letter}{digit}" for letter in "ABCDEFGH" for digit in range(1, 9)]
+    vectors = {code: [rng.gauss(0.0, 1.0) for _ in range(48)] for code in codes}
+    for _ in range(6):
+        lo, hi = sorted(rng.sample(range(len(codes)), 2))
+        vectors[codes[hi]] = vectors[codes[lo]]
+
+    def line(name, vec):
+        return name + "," + ",".join(f"{v:.6f}" for v in vec) + "\n"
+
+    index, queries = tmp_path / "index.csv", tmp_path / "queries.csv"
+    index.write_text("".join(line(code, vectors[code]) for code in codes))
+    queries.write_text("".join(
+        line(f"q{i:03d}", [v + rng.gauss(0.0, 0.35)
+                           for v in vectors[rng.choice(codes)]])
+        for i in range(50)))
+    digests = []
+    for name, flags in (("best.csv", []),
+                        ("threshold.csv", ["--threshold", "0.2"])):
+        out = tmp_path / name
+        assert cli.main(["match", "--index", str(index), "--queries", str(queries),
+                         *flags, "--out", str(out)]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [
+        "5f153a7a1fbfe514616595eb7c465cde623fcc3d8ae439e9fa6055d36d16810b",
+        "0fd6ae32002221ed7912ad4a2f6f4d9f84bfb4aafd2bbd9df58c08da7ba52720"]

@@ -72,6 +72,14 @@ def test_config_requires_corpus():
         parse_config_text("tau=3\n")
 
 
+@pytest.mark.parametrize("line", ["corpus =\0 c.jsonl", "specs = s\0.csv",
+                                  "outcomes = a.csv, b\0.csv"])
+def test_config_rejects_a_path_holding_a_null_byte(line):
+    with pytest.raises(SchemaError) as err:
+        parse_config_text(f"corpus = c.jsonl\n{line}\n")
+    assert str(err.value) == f"line 2: bad config line {line!r}"
+
+
 # --- measure assembly --------------------------------------------------------
 
 
@@ -755,6 +763,15 @@ def _config_short_spec_row(tmp_path):
     return _config_value("specs", specs)(tmp_path)
 
 
+def _outcome_table(text):
+    def make(tmp_path):
+        outcomes = tmp_path / "outcomes.csv"
+        outcomes.write_text(text)
+        return ["ingest", "--corpus", str(_late_corpus(tmp_path)),
+                "--outcomes", str(outcomes)]
+    return make
+
+
 def _regress_without_year(tmp_path):
     measures = tmp_path / "noyear.csv"
     measures.write_text("paper_id,pub_tier,citations,prop_causal_edges\n"
@@ -811,18 +828,44 @@ def _flag_mismatch(flag, value):
     (_config_value("strict", "ture"), "line 2: strict must be bool, got 'ture'"),
     (_config_value("min_year", 2030), "min_year 2030 is after max_year 2023"),
     (_config_short_spec_row, "specs.csv: bad fe flag ''"),
+    (_outcome_table('paper_id,journal,citations\nmobility14,"aer,3\n'),
+     "outcomes.csv: unexpected end of data"),
+    (_outcome_table("paper_id,journal,citations\nmobility14,"
+                    + "x" * 200_000 + ",3\n"),
+     "outcomes.csv: field larger than field limit (131072)"),
 ], ids=["ledger-header", "pair-row", "unseen-code", "config-value", "path-len",
         "subgraph-size", "subgraph-size-flag", "subgraph-size-config",
         "subgraph-size-ledger", "regress-no-year", "regress-empty-year",
         "max-iter-config", "path-len-flag", "path-len-config",
         "path-len-ledger", "path-cap-config", "subset-cap-config", "tau-config",
         "path-cap-flag", "tau-flag", "strict-config", "year-order-config",
-        "config-short-spec-row"])
+        "config-short-spec-row", "outcome-unterminated-quote",
+        "outcome-huge-cell"])
 def test_cli_boundary_errors_are_one_line(tmp_path, make_argv, message):
     proc = run_cli(*make_argv(tmp_path), expect=1)
     assert proc.stderr.startswith("claimgraph: ")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("spec_row, message", [
+    ("Top5,longest_path", "bad fe flag ''"),
+    ("Top5,longest_path,bogus,0,none", "unknown measure column 'longest_path_bogus'"),
+    ("Top5,pub_tier,,0,none", "unknown measure column 'pub_tier'"),
+], ids=["short-row", "unknown-view", "text-column"])
+def test_run_with_a_bad_spec_file_writes_nothing(tmp_path, capsys, spec_row,
+                                                 message):
+    """The specs are read with the other inputs, so a bad row stops the run
+    before any measure is computed or any file is written."""
+    specs = tmp_path / "specs.csv"
+    specs.write_text(f"outcome,measure,view,fe,cluster\n{spec_row}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus={_late_corpus(tmp_path)}\nspecs={specs}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"claimgraph: stage 'regress' failed: line 2: {specs}: {message}\n")
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_run_path_cap_error_names_the_first_paper_in_input_order(tmp_path):

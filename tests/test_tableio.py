@@ -147,9 +147,16 @@ LOADERS = {"outcome": load_outcome_table, "rank": load_rank_table,
      "line 2: {path}: bad fe flag ''"),
     ("outcome", "paper_id,journal,citations\np1,AER,3,extra\n",
      "{path}: row 'p1' has more cells than the header"),
+    ("outcome", 'paper_id,journal,citations\nmobility14,"aer,3\n',
+     "line 2: {path}: unexpected end of data"),
+    ("outcome", "paper_id,journal,citations\np1,AER,3\np2," + "x" * 200_000
+     + ",3\n", "line 3: {path}: field larger than field limit (131072)"),
+    ("rank", 'journal,tier\n\n"aer" ,Top5\n',
+     "line 3: {path}: ',' expected after '\"'"),
 ], ids=["outcome-blank-line", "outcome-quoted-newline", "rank-blank-line",
         "rank-quoted-newline", "spec-blank-line", "spec-short-row",
-        "outcome-long-row"])
+        "outcome-long-row", "outcome-unterminated-quote", "outcome-huge-cell",
+        "rank-text-after-quote"])
 def test_loaders_name_the_true_line_of_a_bad_row(tmp_path, loader, text, message):
     path = tmp_path / "t.csv"
     path.write_text(text)
