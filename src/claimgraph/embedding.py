@@ -103,8 +103,15 @@ def _build(rows: Iterable[tuple[str, list[float], int | None]],
         line_nos[entry_id] = line_no
     if not line_nos:
         raise SchemaError(f"{source}: no embedding vectors")
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(line_nos), dim)
+    return _index(line_nos, matrix, source)
+
+
+def _index(line_nos: dict[str, int | None], matrix: np.ndarray,
+           source: str) -> EmbeddingIndex:
+    """Check, scale and norm `matrix`, whose rows are `line_nos`'s ids."""
+    import numpy as np
     ids = list(line_nos)
-    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
     if defect := _scale_rows(matrix):
         k, problem = defect
         raise SchemaError(f"{source}: {problem} for {ids[k]!r}",
@@ -114,12 +121,42 @@ def _build(rows: Iterable[tuple[str, list[float], int | None]],
 
 def load_embedding_table(path: str) -> EmbeddingIndex:
     """Load an id,v1,...,vD table; every row must share one dimension and be
-    finite and non-zero."""
-    with open_text(path) as fh:
-        return _build(_table_rows(fh, path), path)
+    finite and non-zero. numpy's text reader converts the cells: it reads
+    no cell `float()` refuses, and each cell it reads to `float()`'s value.
+    A table it or `_value_texts` refuses is read again by `_table_rows`."""
+    import numpy as np
+    line_nos: dict[str, int | None] = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            matrix = np.loadtxt(_value_texts(fh, line_nos), delimiter=",",
+                                dtype=np.float64, ndmin=2, comments=None)
+    except ValueError:  # UnicodeDecodeError is one too
+        with open_text(path) as fh:
+            return _build(_table_rows(fh, path), path)
+    return _index(line_nos, matrix, path)
+
+
+def _value_texts(lines: Iterable[str], line_nos: dict[str, int | None]):
+    """The text after each row's id, recording the id's line in `line_nos`.
+    Raises ValueError at a row with no values or a repeated id, and at the
+    end of a table with no rows, on which `loadtxt` would warn. Each text is
+    non-blank and holds no line break, so `loadtxt` reads it as one row."""
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        entry_id, _, values = line.partition(",")
+        entry_id = entry_id.strip()
+        if not values or entry_id in line_nos:
+            raise ValueError
+        line_nos[entry_id] = line_no
+        yield values
+    if not line_nos:
+        raise ValueError
 
 
 def _table_rows(lines: Iterable[str], path: str):
+    """Each row through `float()`: the reader that words a table's errors."""
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):

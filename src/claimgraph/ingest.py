@@ -253,12 +253,6 @@ class OutcomeTable:
     by_id: dict[str, dict] = field(default_factory=dict)
     by_title: dict[str, dict] = field(default_factory=dict)
 
-    def lookup(self, record: PaperRecord) -> dict | None:
-        row = self.by_id.get(record.paper_id)
-        if row is None and record.title is not None:
-            row = self.by_title.get(normalize_title(record.title))
-        return row
-
 
 def load_outcome_table(path: str, name: str | None = None) -> OutcomeTable:
     """Load a delimited outcome table with header (paper_id, journal, citations).
@@ -332,8 +326,13 @@ def merge_outcomes(records: Sequence[PaperRecord],
         tier: str | None = None
         tier_source = ""
         citations: int | None = None
+        title = None  # normalised on the first lookup by title
         for source in sources:
-            row = source.lookup(record)
+            row = source.by_id.get(record.paper_id)
+            if row is None and source.by_title and record.title is not None:
+                if title is None:
+                    title = normalize_title(record.title)
+                row = source.by_title.get(title)
             if row is None:
                 continue
             if row["journal"] is not None:

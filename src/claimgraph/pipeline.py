@@ -35,7 +35,8 @@ from .ingest import (
     split_paths,
 )
 from .model import PaperRecord
-from .regression import OUTCOMES, RegressionSpec, load_spec_file, run_regressions
+from .regression import (OUTCOMES, TEXT_COLUMNS, RegressionSpec, load_spec_file,
+                         run_regressions)
 from .tableio import open_text, write_csv, write_csv_dicts
 from .trends import TrendRow, aggregate_trends
 
@@ -170,7 +171,7 @@ MEASURE_COLUMNS: list[str] = (
 )
 
 # The measures.csv columns a spec may regress on: every numeric one.
-_REGRESSORS = frozenset(MEASURE_COLUMNS) - {"paper_id", "pub_tier", "outcome_source"}
+_REGRESSORS = frozenset(MEASURE_COLUMNS) - TEXT_COLUMNS
 
 
 def _put(table: dict[str, list], columns: list[str], results) -> None:

@@ -31,6 +31,9 @@ OUTCOMES = ("Top5", "Top6to20", "Top21to100", "LogCitesPlus1")
 
 TIER_OUTCOMES = OUTCOMES[:3]
 
+# The measures-table columns that hold text, so no spec may regress on them.
+TEXT_COLUMNS = frozenset({"paper_id", "pub_tier", "outcome_source"})
+
 
 @dataclass(frozen=True)
 class RegressionSpec:
@@ -241,7 +244,7 @@ def load_spec_file(path: str, columns: Collection[str] | None = None,
                    ) -> list[RegressionSpec]:
     """Read regression specs from a CSV with columns
     outcome, measure, view, fe, cluster. With `columns`, each spec's measure
-    column must be one of them."""
+    column must be one of them; it may never be one of `TEXT_COLUMNS`."""
     header, rows = read_table(path)
     required = {"outcome", "measure", "view", "fe", "cluster"}
     if not required <= set(header):
@@ -266,6 +269,9 @@ def load_spec_file(path: str, columns: Collection[str] | None = None,
         )
         if columns is not None and spec.column not in columns:
             raise SchemaError(f"{path}: unknown measure column {spec.column!r}",
+                              line_no=line_no)
+        if spec.column in TEXT_COLUMNS:
+            raise SchemaError(f"{path}: measure column {spec.column!r} holds text",
                               line_no=line_no)
         specs.append(spec)
     return specs

@@ -127,6 +127,18 @@ def test_regress_rejects_a_row_longer_than_the_header(tmp_path, capsys):
         1, "", f"claimgraph: {measures}: row 'p2' has more cells than the header\n")
 
 
+@pytest.mark.parametrize("column", ["paper_id", "pub_tier", "outcome_source"])
+def test_regress_rejects_a_spec_naming_a_text_column(tmp_path, capsys, column):
+    measures = _write(tmp_path, "m.csv", (
+        "paper_id,year,pub_tier,citations,outcome_source,prop_causal_edges\n"
+        "p1,2001,Top5,3,o.csv,0.5\np2,2002,Other,0,o.csv,0.25\n"))
+    specs = _write(tmp_path, "s.csv", SPECS + f"Top5,{column},,0,none\n")
+    code, stdout, err = _main(["regress", "--measures", measures,
+                               "--specs", specs], capsys)
+    assert (code, stdout, err) == (
+        1, "", f"claimgraph: line 3: {specs}: measure column {column!r} holds text\n")
+
+
 # --- PageRank's damping lies in [0, 1), checked before any work ------------
 
 

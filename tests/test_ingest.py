@@ -331,6 +331,22 @@ def test_merge_falls_back_to_title_match():
     assert merged[0].citations == 3
 
 
+def test_merge_normalises_each_title_once_and_only_for_title_rows(monkeypatch):
+    from claimgraph import ingest
+    calls = []
+    monkeypatch.setattr(ingest, "normalize_title",
+                        lambda title: calls.append(title) or title.casefold())
+    records = [*_base_records(), PaperRecord("d", 2003, title="Paper Delta")]
+    by_id = _table("ids", {"b": {"journal": "ej", "citations": 1}})
+    merge_outcomes(records, [by_id, by_id], RANKS)
+    assert calls == []
+    by_title = _table("titles", {}, by_title={"paper delta": {"journal": "qje",
+                                                             "citations": 3}})
+    merged = merge_outcomes(records, [by_id, by_title, by_title], RANKS)
+    assert calls == ["Paper Alpha", "Paper Delta"]
+    assert merged[3].pub_tier == "Top5" and merged[3].citations == 3
+
+
 def test_unranked_journal_maps_to_other():
     src = _table("t", {"a": {"journal": "Regional Letters", "citations": 1}})
     merged = merge_outcomes(_base_records(), [src], RANKS)

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import http.server
+import io
 import json
 import math
 import random
@@ -7,6 +9,7 @@ import re
 import socket
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from claimgraph.embedding import (
     remote_provider_configured,
 )
 from claimgraph.errors import SchemaError
+from claimgraph.tableio import open_text
 
 
 def test_cosine_basics():
@@ -506,10 +510,10 @@ def reference_build(rows, source):
     return ids, matrix, norms
 
 
-def _outcome(build, rows):
+def _outcome(build, *args):
     """What `build` gives: the index as bytes, or its error's text and line."""
     try:
-        ids, matrix, norms = build(rows, "t.csv")
+        ids, matrix, norms = build(*args)
     except SchemaError as exc:
         return "error", str(exc), exc.line_no
     return ids, matrix.tobytes(), np.array(norms, dtype=np.float64).tobytes()
@@ -555,7 +559,7 @@ def tables(draw):
 @given(rows=tables())
 def test_bulk_build_equals_row_by_row_reference(rows):
     """The same matrix and norm bits, or the same first error and line."""
-    assert _outcome(_built, rows) == _outcome(reference_build, rows)
+    assert _outcome(_built, rows, "t.csv") == _outcome(reference_build, rows, "t.csv")
 
 
 def test_a_non_finite_row_is_reported_before_its_norm_is_summed():
@@ -631,3 +635,163 @@ def test_cli_match_output_bytes_are_pinned(tmp_path):
     assert digests == [
         "5f153a7a1fbfe514616595eb7c465cde623fcc3d8ae439e9fa6055d36d16810b",
         "0fd6ae32002221ed7912ad4a2f6f4d9f84bfb4aafd2bbd9df58c08da7ba52720"]
+
+
+# --- numpy's text reader reads what the row reader reads ---------------------
+
+
+def reference_table_rows(lines, path):
+    """The row reader that converted every cell before numpy's text reader
+    took over: each cell through `float()`, each error at its line."""
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) < 2:
+            raise SchemaError(f"{path}: embedding row needs id and values",
+                              line_no=line_no)
+        try:
+            vec = list(map(float, parts[1:]))
+        except ValueError as exc:
+            raise SchemaError(f"{path}: {exc}", line_no=line_no) from None
+        yield parts[0].strip(), vec, line_no
+
+
+def reference_load(path):
+    with open_text(path) as fh:
+        return reference_build(reference_table_rows(fh, path), path)
+
+
+def _loaded(path):
+    index = load_embedding_table(path)
+    return index.ids, index.matrix, index.norms
+
+
+# Cells `float()` reads and numpy's reader does not, cells both read, and
+# cells both refuse.
+ODD_CELLS = [" 1.5 ", "1_0", "\u0661.\u0665", "nan", "-inf", "Infinity", "1e400",
+             "1e-400", "0x1p3", "", "\x00", "0.5#x", "\u2003-2\x0c", "+.5E+2"]
+ODD_ROWS = ["odd-cell"] * 4 + ["id-only", "repeat-id", "wider", "narrower",
+                              "trailing-comma"]
+
+
+@st.composite
+def table_texts(draw):
+    """The bytes of a table: rows of plain cells, or with one cell in an odd
+    spelling; comment, blank, id-only, repeated-id and ragged rows; LF or
+    CRLF line ends; now and then a byte that is not UTF-8. Half the tables
+    draw only plain, comment and blank rows, so most of those load."""
+    clean = draw(st.booleans())
+    plain = st.floats(-1e3, 1e3)
+    cell = plain.map(repr) | plain.map("{:.6f}".format)
+    kinds = ["plain"] * 6 + ["comment", "blank"] + ([] if clean else ODD_ROWS)
+    dim = draw(st.integers(1, 4))
+    lines, ids = [], []
+    for k in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# codes", "  #C9,1", "#"])))
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        entry_id = draw(st.sampled_from(["C{}", " C{}\t"])).format(k)
+        if kind == "repeat-id" and ids:
+            entry_id = " " + draw(st.sampled_from(ids))
+        ids.append(entry_id.strip())
+        width = {"id-only": 0, "wider": dim + 1, "narrower": dim - 1}.get(kind, dim)
+        cells = [draw(cell) for _ in range(width)]
+        if kind == "odd-cell":
+            cells[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(ODD_CELLS))
+        line = ",".join([entry_id, *cells])
+        lines.append(line + ("," if kind == "trailing-comma" else ""))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = (newline.join(lines) + draw(st.sampled_from(["", newline]))).encode()
+    if not clean and draw(st.integers(0, 9)) == 0:
+        spot = draw(st.integers(0, len(data)))
+        data = data[:spot] + b"\xff" + data[spot:]
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=table_texts())
+def test_table_reader_equals_row_reader_reference(tmp_path_factory, data):
+    """The same ids, matrix and norm bits, or the same first error, line and
+    text, with no warning."""
+    path = str(tmp_path_factory.getbasetemp() / "table.csv")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(_loaded, path) == _outcome(reference_load, path)
+
+
+@pytest.mark.parametrize("cell", ODD_CELLS)
+def test_each_odd_cell_reads_as_the_row_reader_reads_it(tmp_path, cell):
+    """Each odd cell first in a row, last in a CRLF row, and alone in a
+    table's last row, which has no line end."""
+    path = tmp_path / "t.csv"
+    for text in (f"A1,{cell},1.0\nB2,2.0,3.0\n", f"A1,1.0,{cell}\r\nB2,2.0,3.0\r\n",
+                 f"A1,2.0\nB2,{cell}"):
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(_loaded, str(path)) == _outcome(reference_load, str(path))
+
+
+SEED_INDEX = b"# codes\nA1,1.0,0.0,0.5\nB2,0.0,1.0,-2e3\r\nC3,1e-3,1.5,0.25\n"
+SEED_QUERIES = b"q1,0.9,0.1,0.0\n\nq2,-0.2,0.8,1e2\nq3,0.25,0.5,0.75"
+MUTATION_BYTES = [b",", b"#", b"\n", b"\r", b" ", b"\x00", b"\xff", b"e", b"-",
+                  b"1", b"n", b".", b"_", "\u0661".encode()]
+
+
+@st.composite
+def mutated(draw, seed):
+    """`seed` with one to three bytes, lines or tails inserted, deleted,
+    replaced, repeated or cut."""
+    data = seed
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["insert", "delete", "replace", "repeat-line",
+                                   "cut"]))
+        spot = draw(st.integers(0, len(data)))
+        piece = draw(st.sampled_from(MUTATION_BYTES))
+        if op == "insert":
+            data = data[:spot] + piece + data[spot:]
+        elif op == "delete":
+            data = data[:spot] + data[spot + 1:]
+        elif op == "replace":
+            data = data[:spot] + piece + data[spot + 1:]
+        elif op == "repeat-line":
+            lines = data.split(b"\n")
+            line = lines[spot % len(lines)]
+            data = data + b"\n" + line
+        else:
+            data = data[:spot]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=mutated(SEED_INDEX) | st.just(SEED_INDEX),
+       queries=mutated(SEED_QUERIES) | st.just(SEED_QUERIES),
+       flags=st.sampled_from([[], ["--threshold", "0.5"]]))
+def test_mutated_match_inputs_give_a_result_or_one_error_line(
+        tmp_path_factory, index, queries, flags):
+    base = tmp_path_factory.getbasetemp()
+    paths = {}
+    for name, data in (("index", index), ("queries", queries)):
+        paths[name] = str(base / f"mutated-{name}.csv")
+        with open(paths[name], "wb") as fh:
+            fh.write(data)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(["match", "--index", paths["index"], "--queries",
+                         paths["queries"], *flags, "--out", str(base / "m.csv")])
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1)
+    if code == 1:
+        assert re.fullmatch(r"claimgraph: [^\n]*\n", err.getvalue()), err.getvalue()
+    else:
+        assert err.getvalue() == ""
