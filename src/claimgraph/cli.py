@@ -17,15 +17,7 @@ from itertools import repeat
 from . import centrality as centrality_mod
 from . import cooccurrence as cooccur_mod
 from . import novelty as novelty_mod
-from .embedding import (
-    ENV_REMOTE_URL,
-    EmbeddingIndex,
-    fetch_remote_embeddings,
-    load_embedding_table,
-    match_concept,
-    match_concept_all,
-    remote_provider_configured,
-)
+from .embedding import load_embedding_table, match_table
 from .errors import ClaimGraphError, SchemaError, check_range
 from .graphs import DEFAULT_PATH_CAP, build_graph
 from .ingest import (
@@ -49,7 +41,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .regression import load_spec_file, run_regressions
-from .tableio import open_text, parse_float, parse_int, read_table, write_rows
+from .tableio import parse_float, parse_int, read_table, write_rows
 from .trends import GROUPINGS, aggregate_trends
 
 CLI_VIEWS = ("full", "causal", "non-causal")
@@ -194,6 +186,9 @@ def cmd_regress(args):
             for column, values in table.items():
                 parse = _REGRESS_PARSERS.get(column, parse_float)
                 values.append(parse(row.get(column, "")))
+                if isinstance(values[-1], float) and not math.isfinite(values[-1]):
+                    raise ValueError(f"column {column!r} holds {values[-1]}, "
+                                     "not a finite number")
         except ValueError as exc:
             raise SchemaError(f"{args.measures}: paper "
                               f"{row.get('paper_id', '')!r}: {exc}") from None
@@ -211,31 +206,12 @@ def cmd_trends(args):
 def cmd_match(args):
     if args.threshold is not None and not math.isfinite(args.threshold):
         raise SchemaError(f"--threshold must be finite, got {args.threshold}")
-    if args.remote_texts and not remote_provider_configured():
-        raise ClaimGraphError(f"--remote-texts needs {ENV_REMOTE_URL} set")
     index = load_embedding_table(args.index)
-    if args.remote_texts:
-        with open_text(args.queries) as fh:
-            texts = [line.rstrip("\n") for line in fh if line.strip()]
-        if not texts:
-            raise SchemaError(f"{args.queries}: no query texts")
-        vectors = fetch_remote_embeddings(texts)
-        table = EmbeddingIndex.from_rows(
-            [(f"q{i}", vec) for i, vec in enumerate(vectors, start=1)],
-            source="remote provider")
-    else:
-        table = load_embedding_table(args.queries)
-    rows = []
-    for query_id, vec in table.rows():
-        if args.threshold is not None:
-            for rank, m in enumerate(
-                    match_concept_all(vec, index, args.threshold, query_id),
-                    start=1):
-                rows.append([m.query_id, m.code, m.score, rank])
-        else:
-            m = match_concept(vec, index, query_id)
-            rows.append([m.query_id, m.code, m.score, 1])
-    return ["query_id", "code", "similarity", "rank"], rows
+    table = load_embedding_table(args.queries)
+    return (["query_id", "code", "similarity", "rank"],
+            [[m.query_id, m.code, m.score, rank]
+             for matches in match_table(table, index, args.threshold)
+             for rank, m in enumerate(matches, start=1)])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,12 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("match", help="match query vectors to concept codes")
     p.add_argument("--index", required=True, help="id,v1,...,vD table")
-    p.add_argument("--queries", required=True,
-                   help="query vector table, or text lines with --remote-texts")
+    p.add_argument("--queries", required=True, help="query vector table")
     p.add_argument("--threshold", type=float, default=None,
                    help="return every match scoring at least this")
-    p.add_argument("--remote-texts", action="store_true",
-                   help="embed query text lines via the configured provider")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_match)
 

@@ -1,15 +1,12 @@
 """Concept matching by cosine similarity over supplied embedding vectors.
 
-Vectors arrive from a local delimited table (id, v1, ..., vD) or, when
-configured through environment variables, from a remote HTTP provider. No
-embedding model ships with the package.
+Vectors arrive from a local delimited table (id, v1, ..., vD). No embedding
+model ships with the package.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -22,9 +19,6 @@ from .tableio import open_text
 # that match no concepts start without loading it.
 if TYPE_CHECKING:
     import numpy as np
-
-ENV_REMOTE_URL = "CLAIMGRAPH_EMBED_URL"
-ENV_REMOTE_TOKEN = "CLAIMGRAPH_EMBED_TOKEN"
 
 
 @dataclass
@@ -73,10 +67,77 @@ def _scale_rows(matrix: np.ndarray) -> tuple[int, str] | None:
     return None
 
 
-def _norms(matrix: np.ndarray) -> list[float]:
-    """Each scaled row's norm. Rows are squared one at a time, so no
-    temporary grows with the matrix."""
-    return [math.sqrt(math.fsum((row * row).tolist())) for row in matrix]
+# Rows per `_exact_sums` call; its temporaries hold twice the block.
+_BLOCK = 16
+# Queries whose approximate scores `match_table` holds at once.
+_QUERY_CHUNK = 32
+
+
+def _exact_sums(rows: np.ndarray) -> np.ndarray:
+    """`math.fsum(row.tolist())` of each row of a 2-d float64 array, bit for
+    bit. Entries must be finite and sum far below overflow; callers pass
+    products of `_scale_rows`d entries, each below 1 in magnitude.
+
+    Why, for d < 2**50 columns and u = 2**-53 (Ogita, Rump and Oishi,
+    "Accurate Sum and Dot Product", SIAM J. Sci. Comput. 26(6), 2005):
+    - Knuth's TwoSum gives t = fl(a + b) and e with t + e = a + b exactly
+      unless it overflows; an addition that underflows is exact. Adding
+      column halves level by level leaves a column `hi` and d - 1 errors
+      that sum with it to the exact row sum S.
+    - numpy sums the errors into `lo` in an order its SIMD build picks. Any
+      order errs by at most gamma * sum|e|, gamma = (d-2)u / (1 - (d-2)u)
+      (Higham, 2nd ed., section 4.2), and the computed sum of |e| is at
+      least (1 - gamma) * sum|e|. 2*d*u times it is at least twice that
+      error bound, so after rounding, by u of it or by 2**-1075 if it
+      underflows, `bound` still covers lo's error. Below 2**-1074 every
+      partial sum of the errors is subnormal, so lo is exact.
+    - r = hi + lo; TwoSum gives its residual t, so |S - r| <= |t| + bound.
+      Rounding is monotonic: if |t| + bound rounds below half the smaller
+      gap from |r| to a neighbour, S lies strictly inside r's rounding
+      interval, and fsum, which rounds S correctly, returns r. At r = 0
+      that gap is 0, so a zero sum, whose sign depends on its order, is
+      never taken. Other rows, near-ties and cancellations, go to fsum.
+    """
+    import numpy as np
+    work = rows.T.copy()  # row k is column k; each half level is contiguous
+    d = len(work)
+    sums, scratch = np.empty((2, d // 2, work.shape[1]))
+    start = 0
+    while d - start > 1:  # TwoSum the halves of work[start:]; an odd last
+        h = (d - start) // 2  # column carries to the next level in place
+        a, b = work[start:start + h], work[start + h:start + 2 * h]
+        t, z = sums[:h], scratch[:h]
+        np.add(a, b, out=t)
+        np.subtract(t, a, out=z)
+        np.subtract(b, z, out=b)
+        np.subtract(t, z, out=z)
+        np.subtract(a, z, out=a)
+        a += b  # a's columns now hold the errors, b's the level's sums
+        b[...] = t
+        start += h
+    hi, errors = work[d - 1], work[:d - 1]
+    lo = errors.sum(axis=0)
+    bound = np.abs(errors, out=errors).sum(axis=0) * (2 * d * 2.0 ** -53)
+    r = hi + lo
+    z = r - hi
+    bound += np.abs((hi - (r - z)) + (lo - z))
+    size = np.abs(r)
+    certain = bound < (size - np.nextafter(size, 0.0)) * 0.5
+    for k in np.flatnonzero(~certain).tolist():
+        r[k] = math.fsum(rows[k].tolist())
+    return r
+
+
+def _norms(matrix: np.ndarray) -> np.ndarray:
+    """Each scaled row's norm: the square root of the exact sum of its
+    squares. Rows are squared `_BLOCK` at a time, so no temporary grows with
+    the matrix."""
+    import numpy as np
+    norms = np.empty(len(matrix))
+    for start in range(0, len(matrix), _BLOCK):
+        block = matrix[start:start + _BLOCK]
+        norms[start:start + _BLOCK] = _exact_sums(block * block)
+    return np.sqrt(norms, out=norms)
 
 
 def _build(rows: Iterable[tuple[str, list[float], int | None]],
@@ -116,7 +177,7 @@ def _index(line_nos: dict[str, int | None], matrix: np.ndarray,
         k, problem = defect
         raise SchemaError(f"{source}: {problem} for {ids[k]!r}",
                           line_no=line_nos[ids[k]])
-    return EmbeddingIndex(ids=ids, matrix=matrix, norms=np.array(_norms(matrix)))
+    return EmbeddingIndex(ids=ids, matrix=matrix, norms=_norms(matrix))
 
 
 def load_embedding_table(path: str) -> EmbeddingIndex:
@@ -172,10 +233,6 @@ def _table_rows(lines: Iterable[str], path: str):
         yield parts[0].strip(), vec, line_no
 
 
-def _cosine(dot: float, norm_a: float, norm_b: float) -> float:
-    return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
-
-
 def cosine_similarity(a: list[float], b: list[float]) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1].
 
@@ -191,8 +248,10 @@ def cosine_similarity(a: list[float], b: list[float]) -> float:
         raise ValueError("cosine similarity undefined for zero or non-finite vectors")
     # fsum keeps the accumulation exact, so near-ties rank stably across
     # platforms and input orderings.
-    dot = math.fsum(x * y for x, y in zip(*pair.tolist()))
-    return _cosine(dot, *_norms(pair))
+    x, y = pair.tolist()
+    dot = math.fsum(p * q for p, q in zip(x, y))
+    norm_x, norm_y = (math.sqrt(math.fsum(v * v for v in row)) for row in (x, y))
+    return max(-1.0, min(1.0, dot / (norm_x * norm_y)))
 
 
 @dataclass(frozen=True)
@@ -202,10 +261,22 @@ class Match:
     score: float
 
 
-class _Scorer:
-    """One query against an index. Every score it returns is the exact
-    `cosine_similarity` of the pair; the BLAS pass only picks which rows to
-    score.
+def _check_dim(query_id: str, dim: int, index: EmbeddingIndex) -> None:
+    if dim != index.dim:
+        raise SchemaError(f"query {query_id!r}: dimension mismatch: "
+                          f"{dim} != {index.dim}")
+
+
+def match_table(table: EmbeddingIndex, index: EmbeddingIndex,
+                threshold: float | None = None) -> list[list[Match]]:
+    """Each row of the query `table` against `index`: its best match, or with
+    a `threshold` every match scoring at least it, best first. Exact score
+    ties break to the lexicographically smallest id, so results are
+    insensitive to index row order.
+
+    Every score is the exact `cosine_similarity` of the pair, its dot
+    product summed by `_exact_sums`; one BLAS matrix-vector product per
+    query only picks which rows to score.
 
     Margin on |approximate - exact| cosine, for finite non-zero rows and
     query scaled by `_scale_rows`, u = 2**-53 (Higham, "Accuracy and
@@ -215,103 +286,76 @@ class _Scorer:
     - `matrix @ q` sums d products in any order, with or without FMA, within
       gamma_d * sum|x_i y_i| <= gamma_d * |x||y| of the true dot product,
       gamma_d = d*u / (1 - d*u).
-    - The exact score's fsum of the rounded products is within 2u * |x||y|.
+    - The exact score's correctly rounded sum of the rounded products is
+      within 2u * |x||y|.
     - Both divide by the same rounded norm product, within (1 + 5u) of
       |x||y|, and each division rounds once more, by u at most.
     So the two cosines differ by at most (d + 4)*u plus smaller terms; four
     times that covers those. Clamping to [-1, 1] only narrows the gap.
     """
+    import numpy as np
+    _check_dim(table.ids[0], table.dim, index)
+    found: list[list[Match]] = []
+    for start in range(0, len(table.ids), _QUERY_CHUNK):
+        stop = min(start + _QUERY_CHUNK, len(table.ids))
+        queries, rows = _candidates(table, index, start, stop, threshold)
+        dots = np.empty(len(rows))
+        for first in range(0, len(rows), _BLOCK):
+            pairs = slice(first, first + _BLOCK)
+            dots[pairs] = _exact_sums(table.matrix[queries[pairs]]
+                                      * index.matrix[rows[pairs]])
+        scores = np.clip(dots / (table.norms[queries] * index.norms[rows]),
+                         -1.0, 1.0)
+        chunk: list[list[Match]] = [[] for _ in range(start, stop)]
+        for j, k, score in zip(queries.tolist(), rows.tolist(), scores.tolist()):
+            chunk[j - start].append(Match(table.ids[j], index.ids[k], score))
+        for matches in chunk:
+            matches.sort(key=lambda m: (-m.score, m.code))
+            found.append(matches[:1] if threshold is None else
+                         [m for m in matches if m.score >= threshold])
+    return found
 
-    def __init__(self, query, index: EmbeddingIndex, query_id: str):
-        import numpy as np
-        q, norm = query if isinstance(query, CheckedVector) else (
-            np.array(query, dtype=np.float64), None)
-        if q.shape != (index.dim,):
-            raise SchemaError(f"query {query_id!r}: dimension mismatch: "
-                              f"{q.size} != {index.dim}")
-        if norm is None:
-            if defect := _scale_rows(q[None]):
-                raise SchemaError(f"query {query_id!r}: {defect[1]}")
-            norm, = _norms(q[None])
-        self.q, self.norm, self.index = q, norm, index
-        self.margin = 4 * (index.dim + 4) * 2.0 ** -53
-        self.approx = np.clip(index.matrix @ q / (index.norms * norm), -1.0, 1.0)
 
-    def rows_at_least(self, floor: float) -> np.ndarray:
-        """Every row whose exact score may reach `floor`."""
-        return (self.approx >= floor - self.margin).nonzero()[0]
+def _candidates(table: EmbeddingIndex, index: EmbeddingIndex, start: int,
+                stop: int, threshold: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(query row, index row) pairs, query by query, that `match_table`
+    must score exactly for table rows start..stop-1."""
+    import numpy as np
+    margin = 4 * (index.dim + 4) * 2.0 ** -53
+    approx = np.empty((stop - start, len(index.ids)))
+    for j, row in zip(range(start, stop), approx):
+        np.matmul(index.matrix, table.matrix[j], out=row)
+    approx /= np.multiply.outer(table.norms[start:stop], index.norms)
+    np.clip(approx, -1.0, 1.0, out=approx)
+    # The row with the top approximate score scores at least that minus the
+    # margin exactly, so no row more than two margins below it can be best.
+    floor = (approx.max(axis=1, keepdims=True) - margin if threshold is None
+             else threshold)
+    queries, rows = np.nonzero(approx >= floor - margin)
+    return queries + start, rows
 
-    def exact(self, k: int) -> float:
-        dot = math.fsum((self.index.matrix[k] * self.q).tolist())
-        return _cosine(dot, self.norm, float(self.index.norms[k]))
+
+def _query_row(query, query_id: str, index: EmbeddingIndex) -> EmbeddingIndex:
+    """A query, a table row or raw values, as a one-row table."""
+    import numpy as np
+    if isinstance(query, CheckedVector):
+        return EmbeddingIndex([query_id], query.values[None],
+                              np.array([query.norm]))
+    q = np.array(query, dtype=np.float64).reshape(1, -1)
+    _check_dim(query_id, q.shape[1], index)
+    if defect := _scale_rows(q):
+        raise SchemaError(f"query {query_id!r}: {defect[1]}")
+    return EmbeddingIndex([query_id], q, _norms(q))
 
 
 def match_concept(query: list[float], index: EmbeddingIndex,
                   query_id: str = "") -> Match:
-    """Best-matching index entry for a query vector.
-
-    Exact score ties break to the lexicographically smallest id, so results
-    are insensitive to index row order.
-    """
-    scorer = _Scorer(query, index, query_id)
-    # The row with the top approximate score scores at least that minus the
-    # margin exactly, so no row more than two margins below it can be best.
-    top = scorer.approx.max()
-    neg_score, code = min((-scorer.exact(k), index.ids[k])
-                          for k in scorer.rows_at_least(top - scorer.margin))
-    return Match(query_id=query_id, code=code, score=-neg_score)
+    """Best-matching index entry for a query vector (see `match_table`)."""
+    return match_table(_query_row(query, query_id, index), index)[0][0]
 
 
 def match_concept_all(query: list[float], index: EmbeddingIndex,
                       threshold: float, query_id: str = "") -> list[Match]:
     """All index entries scoring at least `threshold`, best first; one-to-many
     mapping behind an explicit opt-in."""
-    scorer = _Scorer(query, index, query_id)
-    matches = [Match(query_id=query_id, code=index.ids[k], score=scorer.exact(k))
-               for k in scorer.rows_at_least(threshold)]
-    return sorted((m for m in matches if m.score >= threshold),
-                  key=lambda m: (-m.score, m.code))
-
-
-def remote_provider_configured() -> bool:
-    return bool(os.environ.get(ENV_REMOTE_URL))
-
-
-def fetch_remote_embeddings(texts: list[str], url: str | None = None,
-                            token: str | None = None,
-                            timeout: float = 30.0) -> list[list[float]]:
-    """POST texts to the configured provider and return one vector per text.
-
-    The endpoint receives {"texts": [...]} and must answer
-    {"vectors": [[...], ...]} with matching length. HTTP and connection
-    failures raise OSError subclasses.
-    """
-    import urllib.request  # slow to import, and only this call needs it
-    url = url or os.environ.get(ENV_REMOTE_URL)
-    if not url:
-        raise ValueError(f"remote provider not configured ({ENV_REMOTE_URL} unset)")
-    token = token or os.environ.get(ENV_REMOTE_TOKEN)
-    headers = {"Content-Type": "application/json"}
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    request = urllib.request.Request(
-        url, data=json.dumps({"texts": texts}).encode("utf-8"),
-        headers=headers, method="POST")
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        body = response.read()
-    try:
-        payload = json.loads(body)
-    except (ValueError, RecursionError) as exc:  # deep nesting recurses
-        raise SchemaError(f"remote provider returned invalid JSON: {exc}") from None
-    vectors = payload.get("vectors") if isinstance(payload, dict) else None
-    if not isinstance(vectors, list) or len(vectors) != len(texts):
-        raise SchemaError("remote provider returned a malformed response")
-    out = []
-    for vec in vectors:
-        if not isinstance(vec, list):
-            raise SchemaError("remote provider vector is not a list")
-        try:
-            out.append([float(v) for v in vec])
-        except (TypeError, ValueError):
-            raise SchemaError("remote provider vector is not numeric") from None
-    return out
+    return match_table(_query_row(query, query_id, index), index, threshold)[0]

@@ -15,6 +15,7 @@ columns zipped into rows.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from itertools import chain, repeat
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -115,6 +116,9 @@ _INPUT_KEYS = ("corpus", "outcomes", "ranks", "specs")
 # Parameters whose values outside a range would crash a run or be misread.
 _RANGES = {**novelty_mod.LEDGER_RANGES, "max_iter": (1, None),
            "path_cap": (1, None), "subset_cap": (1, None), "tau": (1, None)}
+# Parameters that must be finite and above 0: the source/sink ratio's
+# padding divides, and no tolerance of 0 or less can be met.
+_POSITIVE = ("epsilon", "tol")
 # Every other key is a parameter, parsed by its field's annotated type.
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _PARSERS = {"bool": lambda v: _BOOLS[v.lower()], "int": int, "float": float, "str": str}
@@ -148,6 +152,9 @@ def parse_config_text(text: str, base_dir: str = ".") -> PipelineConfig:
                 check_range(key, getattr(config, key), _RANGES[key], line_no)
             elif key == "damping":
                 centrality_mod.check_damping(key, config.damping, line_no)
+            elif key in _POSITIVE and not 0.0 < getattr(config, key) < math.inf:
+                raise SchemaError(f"{key} must be finite and > 0, "
+                                  f"got {getattr(config, key)}", line_no=line_no)
     if not config.corpus:
         raise SchemaError("config is missing corpus=")
     if config.min_year > config.max_year:

@@ -167,6 +167,36 @@ def test_damping_zero_is_valid(tmp_path, landmark_path, capsys):
     assert stdout.count("\n") == 5
 
 
+# --- epsilon and tol must be finite and above 0, checked before any input --
+
+
+@pytest.mark.parametrize("key", ["epsilon", "tol"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_epsilon_and_tol_outside_their_range_are_rejected_before_any_input(
+        tmp_path, capsys, key, value):
+    """epsilon 0 or -1 ended `run` in ZeroDivisionError, nan and inf wrote
+    meaningless source/sink cells, and tol <= 0 or nan failed as a
+    misleading non-convergence. The corpus named does not exist, so the
+    message shows that no input was read."""
+    config = _write(tmp_path, "run.cfg", f"corpus = missing.jsonl\n{key} = {value}\n")
+    out = tmp_path / "run"
+    assert _main(["run", "--config", config, "--out", str(out)], capsys) == (
+        1, "", f"claimgraph: line 2: {key} must be finite and > 0, "
+               f"got {float(value)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_regress_rejects_a_non_finite_measure_cell(tmp_path, capsys, cell):
+    """Such a cell gave a row of nan, exit 0 and numpy warnings."""
+    measures = _write(tmp_path, "m.csv", MEASURES.replace("0.25", cell))
+    code, stdout, err = _main(["regress", "--measures", measures,
+                               "--specs", _write(tmp_path, "s.csv", SPECS)], capsys)
+    assert (code, stdout, err) == (
+        1, "", f"claimgraph: {measures}: paper 'p2': column 'prop_causal_edges' "
+               f"holds {float(cell)}, not a finite number\n")
+
+
 # --- a byte that is not UTF-8 is a one-line error naming the file ----------
 
 
@@ -219,10 +249,10 @@ def _index(tmp_path, corpus):
             "--queries", _write(tmp_path, "q.csv", QUERIES)], bad
 
 
-def _query_texts(tmp_path, corpus):
-    bad = _bad(tmp_path, "q.txt", "r?sum?\n")
+def _queries(tmp_path, corpus):
+    bad = _bad(tmp_path, "q.csv", QUERIES.replace("q2", "q?"))
     return ["match", "--index", _write(tmp_path, "index.csv", INDEX),
-            "--queries", bad, "--remote-texts"], bad
+            "--queries", bad], bad
 
 
 def _ledger(tmp_path, corpus):
@@ -240,14 +270,12 @@ def _pair_table(tmp_path, corpus):
 
 
 @pytest.mark.parametrize("make_argv", [
-    _corpus, _config, _outcomes, _ranks, _specs, _measures, _index, _query_texts,
+    _corpus, _config, _outcomes, _ranks, _specs, _measures, _index, _queries,
     _ledger, _pair_table,
 ], ids=["corpus", "config", "outcome-table", "rank-table", "spec-file",
-        "measures-table", "embedding-table", "query-texts", "ledger", "pair-table"])
+        "measures-table", "embedding-table", "query-table", "ledger", "pair-table"])
 def test_non_utf8_input_is_a_one_line_error(tmp_path, landmark_path, capsys,
-                                            monkeypatch, make_argv):
-    # The texts are rejected before any request; the port is never contacted.
-    monkeypatch.setenv("CLAIMGRAPH_EMBED_URL", "http://127.0.0.1:9/embed")
+                                            make_argv):
     argv, bad = make_argv(tmp_path, landmark_path)
     code, stdout, err = _main(argv, capsys)
     assert (code, stdout) == (1, "")

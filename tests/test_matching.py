@@ -1,31 +1,27 @@
 import contextlib
 import hashlib
-import http.server
 import io
-import json
 import math
 import random
 import re
-import socket
-import threading
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from claimgraph import cli
+from claimgraph import cli, embedding
 from claimgraph.embedding import (
     EmbeddingIndex,
     _build,
+    _exact_sums,
     Match,
     cosine_similarity,
-    fetch_remote_embeddings,
     load_embedding_table,
     match_concept,
     match_concept_all,
-    remote_provider_configured,
 )
 from claimgraph.errors import SchemaError
 from claimgraph.tableio import open_text
@@ -273,133 +269,6 @@ def test_match_rejects_query_without_a_cosine(query, problem):
         match_concept_all(query, index, 0.5, "q")
 
 
-# --- optional remote provider ----------------------------------------------
-
-
-class _StubHandler(http.server.BaseHTTPRequestHandler):
-    seen = []
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).seen.append((self.path, dict(self.headers), body))
-        vectors = [[float(len(t)), 1.0] for t in body["texts"]]
-        payload = json.dumps({"vectors": vectors}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def stub_server():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}/embed"
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
-
-
-def test_remote_disabled_without_env(monkeypatch):
-    monkeypatch.delenv("CLAIMGRAPH_EMBED_URL", raising=False)
-    assert not remote_provider_configured()
-    with pytest.raises(ValueError):
-        fetch_remote_embeddings(["x"])
-
-
-def test_remote_fetch_round_trip(stub_server, monkeypatch):
-    monkeypatch.setenv("CLAIMGRAPH_EMBED_URL", stub_server)
-    monkeypatch.setenv("CLAIMGRAPH_EMBED_TOKEN", "sesame")
-    assert remote_provider_configured()
-    _StubHandler.seen.clear()
-    vectors = fetch_remote_embeddings(["alpha", "be"])
-    assert vectors == [[5.0, 1.0], [2.0, 1.0]]
-    (path, headers, body), = _StubHandler.seen
-    assert body == {"texts": ["alpha", "be"]}
-    assert headers.get("Authorization") == "Bearer sesame"
-
-
-class _BrokenHandler(http.server.BaseHTTPRequestHandler):
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        payload = json.dumps({"wrong": []}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-def test_remote_fetch_rejects_bad_payload():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _BrokenHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        url = f"http://127.0.0.1:{server.server_port}/embed"
-        with pytest.raises(SchemaError):
-            fetch_remote_embeddings(["x"], url=url)
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
-
-
-def _serve(status, body):
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
-            self.send_response(status)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    return http.server.HTTPServer(("127.0.0.1", 0), Handler)
-
-
-@pytest.mark.parametrize("status, body, error", [
-    (200, b"not json", SchemaError),
-    (200, b"[1, 2]", SchemaError),
-    (200, b'{"vectors": [["x"]]}', SchemaError),
-    (500, b"{}", OSError),
-    (200, b"[" * 100_000 + b"]" * 100_000, SchemaError),
-], ids=["invalid-json", "not-an-object", "not-numeric", "http-500", "deeply-nested"])
-def test_remote_fetch_errors(status, body, error):
-    server = _serve(status, body)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        with pytest.raises(error):
-            fetch_remote_embeddings(
-                ["x"], url=f"http://127.0.0.1:{server.server_port}/embed")
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
-    assert not thread.is_alive()
-
-
-def test_remote_fetch_connection_refused_is_oserror():
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-    with pytest.raises(OSError):
-        fetch_remote_embeddings(["x"], url=f"http://127.0.0.1:{port}/embed",
-                                timeout=5)
-
-
 # --- `claimgraph match` errors are one line -----------------------------------
 
 
@@ -422,8 +291,10 @@ def _match_cli(tmp_path, capsys, index_text, query_text, *flags):
     ("A1,1.0,0.0\n", "# no rows\n", [], r"q\.csv: no embedding vectors"),
     ("A1,1.0,0.0\n", "q1,1.0,0.0\n", ["--threshold", "nan"],
      "--threshold must be finite, got nan"),
+    ("A1,1.0,0.0\n", "q1,1.0,0.0,1.0\n", [],
+     "^claimgraph: query 'q1': dimension mismatch: 3 != 2$"),
 ], ids=["zero-query", "zero-index-row", "nan-query", "inf-index", "empty-queries",
-        "nan-threshold"])
+        "nan-threshold", "query-dimension"])
 def test_cli_match_rejects_bad_vectors(tmp_path, capsys, index_text, query_text,
                                        flags, message):
     code, err = _match_cli(tmp_path, capsys, index_text, query_text, *flags)
@@ -432,45 +303,13 @@ def test_cli_match_rejects_bad_vectors(tmp_path, capsys, index_text, query_text,
     assert re.search(message, err), err
 
 
-def test_cli_remote_texts_needs_provider(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("CLAIMGRAPH_EMBED_URL", raising=False)
-    code, err = _match_cli(tmp_path, capsys, "A1,1.0,0.0\n", "some text\n",
-                           "--remote-texts")
-    assert code == 1
-    assert err == "claimgraph: --remote-texts needs CLAIMGRAPH_EMBED_URL set\n"
-
-
-def test_cli_remote_texts_rejects_empty_text_file(tmp_path, capsys, monkeypatch):
-    # Rejected before any request is made, so the address is never contacted.
-    monkeypatch.setenv("CLAIMGRAPH_EMBED_URL", "http://127.0.0.1:9/embed")
-    code, err = _match_cli(tmp_path, capsys, "A1,1.0,0.0\n", "\n\n",
-                           "--remote-texts")
-    assert code == 1
-    assert re.fullmatch(r"claimgraph: .*q\.csv: no query texts\n", err), err
-
-
-@pytest.mark.parametrize("body, message", [
-    (b'{"vectors": [[NaN, 1.0]]}', "remote provider: non-finite value for 'q1'"),
-    (b'{"vectors": [[0.0, 0.0]]}', "remote provider: zero vector for 'q1'"),
-    (b'{"vectors": [[1.0, 0.0, 1.0]]}', "query 'q1': dimension mismatch: 3 != 2"),
-], ids=["nan", "zero", "dimension"])
-def test_cli_remote_vectors_are_validated(tmp_path, capsys, monkeypatch, body,
-                                          message):
-    server = _serve(200, body)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        monkeypatch.setenv("CLAIMGRAPH_EMBED_URL",
-                           f"http://127.0.0.1:{server.server_port}/embed")
-        code, err = _match_cli(tmp_path, capsys, "A1,1.0,0.0\n", "some text\n",
-                               "--remote-texts")
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
-    assert not thread.is_alive()
-    assert code == 1
-    assert err == f"claimgraph: {message}\n"
+def test_cli_remote_texts_is_a_usage_error(tmp_path, capsys):
+    """The remote embedding provider is gone; its flag is unknown."""
+    with pytest.raises(SystemExit) as exc:
+        _match_cli(tmp_path, capsys, "A1,1.0,0.0\n", "some text\n",
+                   "--remote-texts")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --remote-texts" in capsys.readouterr().err
 
 
 # --- each vector is checked, scaled and normed once, when its table loads ----
@@ -795,3 +634,113 @@ def test_mutated_match_inputs_give_a_result_or_one_error_line(
         assert re.fullmatch(r"claimgraph: [^\n]*\n", err.getvalue()), err.getvalue()
     else:
         assert err.getvalue() == ""
+
+
+# --- the exact-sum kernel gives fsum's bits ------------------------------------
+
+SUM_PIECES = ["normal", "cancel", "subnormal", "power", "ulp-apart"]
+
+
+@st.composite
+def sum_rows(draw):
+    """One to four rows of 1-400 cells below 1 in magnitude: scaled normals,
+    exact cancellations x, -x, subnormals, powers of two, and values one ulp
+    apart (both signs, so they nearly cancel or nearly double)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 400))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        cells = []
+        while len(cells) < width:
+            piece = draw(st.sampled_from(SUM_PIECES))
+            x = float(rng.standard_normal()) * 2.0 ** int(rng.integers(-60, -3))
+            if piece == "normal":
+                cells.append(x)
+            elif piece == "cancel":
+                cells += [x, -x]
+            elif piece == "subnormal":
+                cells.append(float(rng.integers(-2**20, 2**20)) * 2.0 ** -1074)
+            elif piece == "power":
+                cells.append(float(rng.choice([-1.0, 1.0]))
+                             * 2.0 ** int(rng.integers(-1074, 0)))
+            else:
+                cells += [x, float(rng.choice([-1.0, 1.0])) * math.nextafter(x, 2.0)]
+        rng.shuffle(cells)
+        rows.append(cells[:width])
+    return rows
+
+
+def fsum_bits(rows):
+    return np.array([math.fsum(row) for row in rows]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=sum_rows())
+def test_exact_sums_equal_fsum_bit_for_bit(rows):
+    assert _exact_sums(np.array(rows)).tobytes() == fsum_bits(rows)
+
+
+@pytest.mark.parametrize("row", [
+    [1.0, 2.0 ** -53],
+    [1.0, 2.0 ** -53, 2.0 ** -106],
+    [1.0, -2.0 ** -54],
+    [-0.0, -0.0],
+    [0.375, -0.25, 2.0 ** -30, -0.125, -2.0 ** -30],
+], ids=["tie-to-even", "just-above-a-tie", "just-below-a-power-of-two",
+        "negative-zeros", "cancels-to-zero"])
+def test_rows_the_kernel_cannot_certify_go_to_fsum(monkeypatch, row):
+    """A tie, a sum a hair past one, a sum just below a power of two and zero
+    sums are not certified; fsum sums them, with fsum's bits. The row beside
+    each is certified."""
+    certain = [0.5, 0.25] + [0.0] * (len(row) - 2)
+    expected = fsum_bits([row, certain])
+    calls = []
+
+    def counting_fsum(values):
+        calls.append(values)
+        return math.fsum(values)
+
+    monkeypatch.setattr(embedding, "math", SimpleNamespace(fsum=counting_fsum))
+    assert _exact_sums(np.array([row, certain])).tobytes() == expected
+    assert calls == [row]
+
+
+@pytest.mark.parametrize("row", [
+    [6.367546880008935e-17, 6.154349399082011e-17, -7.373042258868117e-17,
+     2.648991727858942e-18, 1.0000000001034863, 5.688477053242842e-17],
+    [1.0000000000235145, 2.5452326006297307e-18, 6.869750843870318e-17,
+     4.429590125563535e-17, -4.516339832452603e-18],
+])
+def test_a_near_tie_decided_by_the_rounding_of_the_errors_sum(row):
+    """The row's TwoSum errors sum to just past half an ulp of its rounded
+    sum, and their own rounded sum falls just short of it: a rounding test
+    that left out the bound on that sum's error takes the wrong neighbour."""
+    certain = [0.5, 0.25] + [0.0] * (len(row) - 2)
+    assert _exact_sums(np.array([row, certain])).tobytes() == \
+        fsum_bits([row, certain])
+
+
+def test_typical_rows_are_certified_without_fsum(monkeypatch):
+    """Dot products and squares of scaled vectors never fall back."""
+    rng = np.random.default_rng(4)
+    vectors = rng.standard_normal((3, 16, 384)) * 2.0 ** -3
+    products = [vectors[0] * vectors[1], vectors[2] * vectors[2]]
+    expected = [fsum_bits(p.tolist()) for p in products]
+    monkeypatch.setattr(embedding, "math", None)  # a fallback would raise
+    assert [_exact_sums(p).tobytes() for p in products] == expected
+
+
+def test_cli_match_prints_an_orthogonal_pair_s_zero_as_fsum_does(tmp_path, capsys):
+    """Both of q1's products with A1 are -0.0, and the zero fsum makes of
+    them depends on the Python version; the CSV prints 0.0 and -0.0
+    differently. A zero sum is never taken from the TwoSum cascade."""
+    out = tmp_path / "m.csv"
+    code, _ = _match_cli(tmp_path, capsys, "A1,-0.0,1.0\nB2,1.0,1.0\n",
+                         "q1,1.0,-0.0\nq2,1.0,0.0\n", "--threshold", "-1",
+                         "--out", str(out))
+    assert code == 0
+    assert out.read_text() == ("query_id,code,similarity,rank\n"
+                               "q1,B2,0.7071067811865475,1\n"
+                               f"q1,A1,{math.fsum([-0.0, -0.0])!r},2\n"
+                               "q2,B2,0.7071067811865475,1\n"
+                               "q2,A1,0.0,2\n")
