@@ -89,8 +89,9 @@ def _exact_sums(rows: np.ndarray) -> np.ndarray:
       (Higham, 2nd ed., section 4.2), and the computed sum of |e| is at
       least (1 - gamma) * sum|e|. 2*d*u times it is at least twice that
       error bound, so after rounding, by u of it or by 2**-1075 if it
-      underflows, `bound` still covers lo's error. Below 2**-1074 every
-      partial sum of the errors is subnormal, so lo is exact.
+      underflows, `bound` still covers lo's error. Where that 2**-1075
+      matters, gamma * sum|e| < 2**-1074, lo is exact: either d = 2 and lo
+      is the one error, or sum|e| < 2**-1021, where every addition is exact.
     - r = hi + lo; TwoSum gives its residual t, so |S - r| <= |t| + bound.
       Rounding is monotonic: if |t| + bound rounds below half the smaller
       gap from |r| to a neighbour, S lies strictly inside r's rounding
@@ -261,12 +262,6 @@ class Match:
     score: float
 
 
-def _check_dim(query_id: str, dim: int, index: EmbeddingIndex) -> None:
-    if dim != index.dim:
-        raise SchemaError(f"query {query_id!r}: dimension mismatch: "
-                          f"{dim} != {index.dim}")
-
-
 def match_table(table: EmbeddingIndex, index: EmbeddingIndex,
                 threshold: float | None = None) -> list[list[Match]]:
     """Each row of the query `table` against `index`: its best match, or with
@@ -294,7 +289,9 @@ def match_table(table: EmbeddingIndex, index: EmbeddingIndex,
     times that covers those. Clamping to [-1, 1] only narrows the gap.
     """
     import numpy as np
-    _check_dim(table.ids[0], table.dim, index)
+    if table.dim != index.dim:
+        raise SchemaError(f"query {table.ids[0]!r}: dimension mismatch: "
+                          f"{table.dim} != {index.dim}")
     found: list[list[Match]] = []
     for start in range(0, len(table.ids), _QUERY_CHUNK):
         stop = min(start + _QUERY_CHUNK, len(table.ids))
@@ -341,8 +338,11 @@ def _query_row(query, query_id: str, index: EmbeddingIndex) -> EmbeddingIndex:
     if isinstance(query, CheckedVector):
         return EmbeddingIndex([query_id], query.values[None],
                               np.array([query.norm]))
-    q = np.array(query, dtype=np.float64).reshape(1, -1)
-    _check_dim(query_id, q.shape[1], index)
+    q = np.array(query, dtype=np.float64)
+    if q.shape != (index.dim,):
+        raise SchemaError(f"query {query_id!r}: dimension mismatch: "
+                          f"{q.size} != {index.dim}")
+    q = q[None]
     if defect := _scale_rows(q):
         raise SchemaError(f"query {query_id!r}: {defect[1]}")
     return EmbeddingIndex([query_id], q, _norms(q))

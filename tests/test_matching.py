@@ -260,6 +260,7 @@ def test_load_embedding_table_names_file_and_line(tmp_path):
     ([0.0, 0.0], "query 'q': zero vector"),
     ([math.nan, 0.0], "query 'q': non-finite value"),
     ([1.0, 0.0, 0.0], "query 'q': dimension mismatch: 3 != 2"),
+    ([[1.0, 0.0]], "query 'q': dimension mismatch: 2 != 2"),  # not 1-d
 ])
 def test_match_rejects_query_without_a_cosine(query, problem):
     index = build_index()
